@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -24,8 +23,8 @@ from .metrics import confusion, report
 from .model import save_model
 from .objective import ObjectiveConfig, WeightMode
 from .stats import friedman, nemenyi_cd, nemenyi_q, pairwise_significance, rank_rows
-from .trainer import (Optimizer, RESULTS_COLUMNS, TrainConfig, TrainingError,
-                      run_experiment, train)
+from .trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, SUMMARY_COLUMNS, TrainConfig,
+                      TrainingError, history_rows, run_experiment, to_csv, train)
 from .presets import PRESETS, preset_config
 from .weighting import NoiseMode
 
@@ -63,9 +62,14 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "inner_iters": (int, 10),
     "batch_size": (int, 64),
     "seed": (int, 0),
-    "jobs": (int, 1),
     "out": (str, None),
 }
+
+# keys a manifest entry may carry; any other key is an error, as the sweep would ignore it
+METHOD_KEYS = (set(CONFIG_SCHEMA) - {"data", "test_data", "split", "seed", "out"}) | {"preset"}
+DATASET_KEYS = {"name", "path", "test_path", "split"}
+MANIFEST_KEYS = {"datasets", "methods", "seeds", "train"}
+WEIGHTS_COLUMNS = ["outer_iter", "alpha_min", "alpha_mean", "alpha_max", "n_noise"]
 
 
 def read_config_file(path: str) -> dict:
@@ -202,23 +206,11 @@ def cmd_train(args) -> int:
         raise CliError(f"training aborted: {exc}") from None
 
     save_model(model, str(out / "model.txt"))
-    name = Path(cfg["data"]).stem
-    buf = io.StringIO()
-    buf.write(",".join(RESULTS_COLUMNS) + "\n")
-    for i, rec in enumerate(history.records, start=1):
-        rep = rec.test_report
-        cells = [name, train_cfg.method_name, str(cfg["seed"]), str(i),
-                 f"{rep.accuracy:.6f}", f"{rep.precision:.6f}", f"{rep.recall:.6f}",
-                 f"{rep.specificity:.6f}", f"{rep.f1:.6f}", f"{rep.gmean:.6f}",
-                 f"{rec.train_loss:.6f}", str(rec.n_noise)]
-        buf.write(",".join(cells) + "\n")
-    (out / "history.csv").write_text(buf.getvalue(), encoding="utf-8")
-
+    rows = history_rows(Path(cfg["data"]).stem, train_cfg, history)
+    (out / "history.csv").write_text(to_csv(rows, RESULTS_COLUMNS), encoding="utf-8")
     if args.verbose:
-        wbuf = ["outer_iter,alpha_min,alpha_mean,alpha_max,n_noise"]
-        wbuf += [f"{i},{r.alpha_min:.6f},{r.alpha_mean:.6f},{r.alpha_max:.6f},{r.n_noise}"
-                 for i, r in enumerate(history.records, start=1)]
-        (out / "weights.csv").write_text("\n".join(wbuf) + "\n", encoding="utf-8")
+        weights = [dict(vars(r), outer_iter=i) for i, r in enumerate(history.records, start=1)]
+        (out / "weights.csv").write_text(to_csv(weights, WEIGHTS_COLUMNS), encoding="utf-8")
 
     cm = confusion(model, eval_ds)
     _print_report(report(cm), cm, args.verbose)
@@ -240,14 +232,24 @@ def _coerce(key: str, value):
     return value
 
 
-def _manifest_dataset(entry: dict, seed: int):
-    name = entry.get("name") or Path(entry["path"]).stem
-    ds = _load_dataset(entry["path"])
-    if entry.get("test_path"):
-        return name, ds, _load_dataset(entry["test_path"])
-    frac = float(entry.get("split", 0.2))
-    tr, ev = split(ds, frac, seed)
-    return name, tr, ev
+def _check_keys(entry, allowed: set[str], where: str) -> None:
+    """Reject a manifest key the sweep would otherwise ignore."""
+    if not isinstance(entry, dict):
+        raise CliError(f"{where}: expected a JSON object, got {entry!r}")
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise CliError(f"{where} {json.dumps(entry, sort_keys=True)}: unknown key(s) "
+                       f"{', '.join(map(repr, unknown))}; allowed: {', '.join(sorted(allowed))}")
+
+
+def _method_config(shared: dict, entry: dict, dataset: str) -> TrainConfig:
+    merged = {**shared, **entry}
+    values = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
+    values.update((k, _coerce(k, v)) for k, v in merged.items() if k != "preset")
+    cfg = build_train_config(values)
+    if merged.get("preset") and dataset.lower() in PRESETS:
+        cfg = preset_config(dataset, cfg.optimizer, cfg.adaptive, base=cfg)
+    return cfg
 
 
 def cmd_experiment(args) -> int:
@@ -257,88 +259,65 @@ def cmd_experiment(args) -> int:
         raise CliError(f"manifest not found: {args.manifest}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.manifest}: invalid JSON: {exc}") from None
+    _check_keys(manifest, MANIFEST_KEYS, args.manifest)
+    seeds = [int(s) for s in manifest.get("seeds", [0])]
+    shared = manifest.get("train", {})
+    _check_keys(shared, METHOD_KEYS, "train")
+    method_entries = manifest.get("methods", [])
+    for i, entry in enumerate(method_entries):
+        _check_keys(entry, METHOD_KEYS, f"methods[{i}]")
+    dataset_entries = manifest.get("datasets", [])
+    for i, entry in enumerate(dataset_entries):
+        _check_keys(entry, DATASET_KEYS, f"datasets[{i}]")
+        if "path" not in entry:
+            raise CliError(f"datasets[{i}] {json.dumps(entry, sort_keys=True)}: no 'path'")
 
     out = _out_dir(args.out, "awwsvm-experiment")
-    seeds = [int(s) for s in manifest.get("seeds", [0])]
-    shared = dict(manifest.get("train", {}))
-    dataset_entries = manifest.get("datasets", [])
-    method_entries = manifest.get("methods", [])
-
     (out / "resolved-manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    if not dataset_entries or not method_entries:
-        (out / "results.csv").write_text(",".join(RESULTS_COLUMNS) + "\n", encoding="utf-8")
-        print(f"empty manifest: wrote header-only {out / 'results.csv'}")
-        return 0
-
-    all_rows: list[dict] = []
-    failures = []
+    # each file is loaded once; the cells run seed -> dataset -> method
+    datasets = []
+    for entry in dataset_entries:
+        name = entry.get("name") or Path(entry["path"]).stem
+        ds = _load_dataset(entry["path"])
+        test = _load_dataset(entry["test_path"]) if entry.get("test_path") else None
+        configs = [_method_config(shared, m, name) for m in method_entries]
+        datasets.append((name, ds, test, float(entry.get("split", 0.2)), configs))
+    cells = []
     for seed in seeds:
-        datasets = []
-        for entry in dataset_entries:
-            datasets.append(_manifest_dataset(entry, seed))
-        for (name, tr, ev), entry in zip(datasets, dataset_entries):
-            methods = []
-            for m in method_entries:
-                merged = dict(shared)
-                merged.update(m)
-                values = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-                for k, v in merged.items():
-                    if k in CONFIG_SCHEMA:
-                        values[k] = _coerce(k, v)
-                cfg = build_train_config(values)
-                if merged.get("preset") and name.lower() in PRESETS:
-                    cfg = preset_config(name, cfg.optimizer, cfg.adaptive, base=cfg)
-                methods.append(cfg)
-            res = run_experiment([(name, tr, ev)], methods, [seed], jobs=args.jobs)
-            all_rows.extend(res.rows)
-            failures.extend(res.failures)
+        for name, ds, test, frac, configs in datasets:
+            tr, ev = (ds, test) if test is not None else split(ds, frac, seed)
+            cells.extend((name, tr, ev, cfg, seed) for cfg in configs)
+    res = run_experiment(cells, jobs=args.jobs)
 
-    from .trainer import ExperimentResults
-    merged = ExperimentResults(rows=all_rows, failures=failures)
-    (out / "results.csv").write_text(merged.to_csv(), encoding="utf-8")
+    (out / "results.csv").write_text(res.to_csv(), encoding="utf-8")
+    summary = res.summary()
+    (out / "summary.csv").write_text(to_csv(summary, SUMMARY_COLUMNS), encoding="utf-8")
+    _print_summary(summary)
 
-    summary = merged.summary()
-    if summary:
-        cols = ["dataset", "method", "n_seeds", "accuracy", "precision", "recall",
-                "specificity", "f1", "gmean"]
-        sbuf = [",".join(cols)]
-        for entry in summary:
-            sbuf.append(",".join(f"{entry[c]:.6f}" if isinstance(entry[c], float) else str(entry[c])
-                                 for c in cols))
-        (out / "summary.csv").write_text("\n".join(sbuf) + "\n", encoding="utf-8")
-
-    _print_summary(all_rows)
-
-    if failures:
-        lines = [f"{f.dataset},{f.method},{f.seed},{f.error}" for f in failures]
+    if res.failures:
+        lines = [f"{f.dataset},{f.method},{f.seed},{f.error}" for f in res.failures]
         (out / "failures.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"{len(failures)} cell(s) failed; see {out / 'failures.txt'}", file=sys.stderr)
+        print(f"{len(res.failures)} cell(s) failed; see {out / 'failures.txt'}", file=sys.stderr)
         return 1
     print(f"wrote {out / 'results.csv'}")
     return 0
 
 
-def _print_summary(rows: list[dict]) -> None:
+def _print_summary(summary: list[dict]) -> None:
     """Mean final accuracy per (dataset, method); best per dataset marked *."""
-    finals = [r for r in rows if r["outer_iter"] == "final"]
-    if not finals:
+    if not summary:
         return
-    datasets, methods = [], []
-    acc: dict[tuple[str, str], list[float]] = {}
-    for r in finals:
-        if r["dataset"] not in datasets:
-            datasets.append(r["dataset"])
-        if r["method"] not in methods:
-            methods.append(r["method"])
-        acc.setdefault((r["dataset"], r["method"]), []).append(r["accuracy"])
+    datasets = list(dict.fromkeys(e["dataset"] for e in summary))
+    methods = list(dict.fromkeys(e["method"] for e in summary))
+    acc = {(e["dataset"], e["method"]): e["accuracy"] for e in summary}
     width = max(len(d) for d in datasets) + 2
     print("mean final accuracy over seeds:")
     print(" " * width + "  ".join(f"{m:>12}" for m in methods))
     for d in datasets:
-        means = {m: float(np.mean(acc[(d, m)])) for m in methods if (d, m) in acc}
-        best = max(means.values(), default=float("nan"))
+        means = {m: acc[(d, m)] for m in methods if (d, m) in acc}
+        best = max(means.values())
         cells = []
         for m in methods:
             if m in means:
@@ -359,8 +338,8 @@ def cmd_stats(args) -> int:
     if not finals:
         raise CliError("results contain no 'final' rows")
     metric = args.metric
-    if metric not in RESULTS_COLUMNS[4:10]:
-        raise CliError(f"unknown metric {metric!r}; choose from {RESULTS_COLUMNS[4:10]}")
+    if metric not in METRIC_COLUMNS:
+        raise CliError(f"unknown metric {metric!r}; choose from {METRIC_COLUMNS}")
 
     datasets, methods = [], []
     cells: dict[tuple[str, str], list[float]] = {}
@@ -462,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--inner-iters", dest="inner_iters", type=int)
     p_train.add_argument("--batch-size", dest="batch_size", type=int)
     p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--jobs", type=int)
     p_train.add_argument("--out")
     p_train.add_argument("-v", "--verbose", action="store_true")
     p_train.set_defaults(func=cmd_train)

@@ -12,6 +12,7 @@ dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from scipy import sparse
@@ -99,8 +100,8 @@ def parse_libsvm(text: str) -> Dataset:
     """Parse LIBSVM text into a Dataset; sample order is preserved.
 
     Raises ParseError (with the 1-based line number) on malformed tokens,
-    non-ascending indices, or more than two distinct labels. An input with no
-    samples is an error.
+    non-finite feature values, non-ascending indices, or more than two
+    distinct labels. An input with no samples is an error.
     """
     raw_rows: list[tuple[float, tuple[tuple[int, float], ...]]] = []
     observed: list[float] = []
@@ -113,7 +114,7 @@ def parse_libsvm(text: str) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad label token {tokens[0]!r}") from None
-        if label != int(label) or int(label) not in (-1, 0, 1, 2):
+        if label not in (-1, 0, 1, 2):
             raise ParseError(f"line {lineno}: unsupported label {tokens[0]!r}")
         label = int(label)
         if label not in observed:
@@ -131,6 +132,8 @@ def parse_libsvm(text: str) -> Dataset:
                 raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
             if idx < 1:
                 raise ParseError(f"line {lineno}: feature index {idx} must be >= 1")
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite feature value {tok!r}")
             if idx <= prev:
                 raise ParseError(f"line {lineno}: non-ascending feature index {idx} after {prev}")
             feats.append((idx, val))

@@ -64,13 +64,10 @@ def subgradient(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg: Objecti
     k = len(y)
     viol = _margins(w, X, y) < 1.0
     if cfg.weight_mode is WeightMode.REGULARIZER:
-        coef = y[viol]
+        coef = y
         reg = alpha.mean() * cfg.C * w
     else:
-        coef = (alpha * y)[viol]
+        coef = alpha * y
         reg = cfg.C * w
-    if np.any(viol):
-        pull = np.asarray(X[viol].T @ coef).ravel() / k
-    else:
-        pull = np.zeros_like(w)
+    pull = np.asarray(X.T @ np.where(viol, coef, 0.0)).ravel() / k
     return reg - pull

@@ -105,23 +105,7 @@ def obfgs_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: 
     A zero search direction skips the step (counter still advances); a
     curvature pair below the floor skips only the H update.
     """
-    g1 = subgradient(w, X, y, alpha, cfg)
-    direction = -(state.H @ g1)
-    nrm = float(np.linalg.norm(direction))
-    if nrm == 0.0:
-        state.k += 1
-        return w
-    direction /= nrm
-    v_new = schedule.rate(state.k) * direction
-    w_new = w + v_new
-    g2 = subgradient(w_new, X, y, alpha, cfg)
-    s = w_new - w
-    yvec = g2 - g1 + state.damping * s
-    if _curvature_ok(s, yvec):
-        state.H = bfgs_inverse_update(state.H, s, yvec)
-    state.v = v_new
-    state.k += 1
-    return w_new
+    return _qn_step(w, state, X, y, alpha, cfg, schedule, 0.0)
 
 
 def onaq_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np.ndarray,
@@ -133,7 +117,17 @@ def onaq_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: n
     """
     if not 0.0 <= state.mu < 1.0:
         raise ValueError(f"mu must lie in [0,1), got {state.mu}")
-    look = w + state.mu * state.v
+    return _qn_step(w, state, X, y, alpha, cfg, schedule, state.mu)
+
+
+def _qn_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np.ndarray,
+             cfg: ObjectiveConfig, schedule: StepSchedule, mu: float) -> np.ndarray:
+    """The shared quasi-Newton step with momentum ``mu``.
+
+    With mu = 0 this is the online-BFGS step bit for bit: w never holds -0.0,
+    so w + 0*v == w, and 0*v + r*d differs from r*d only in the sign of a zero.
+    """
+    look = w + mu * state.v
     g1 = subgradient(look, X, y, alpha, cfg)
     direction = -(state.H @ g1)
     nrm = float(np.linalg.norm(direction))
@@ -141,13 +135,13 @@ def onaq_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: n
         state.k += 1
         return w
     direction /= nrm
-    v_new = state.mu * state.v + schedule.rate(state.k) * direction
+    v_new = mu * state.v + schedule.rate(state.k) * direction
     w_new = w + v_new
     g2 = subgradient(w_new, X, y, alpha, cfg)
-    p = w_new - look
-    q = g2 - g1 + state.damping * p
-    if _curvature_ok(p, q):
-        state.H = bfgs_inverse_update(state.H, p, q)
+    s = w_new - look
+    yvec = g2 - g1 + state.damping * s
+    if _curvature_ok(s, yvec):
+        state.H = bfgs_inverse_update(state.H, s, yvec)
     state.v = v_new
     state.k += 1
     return w_new

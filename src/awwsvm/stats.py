@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.stats import rankdata
+from scipy.stats import chi2, rankdata
 
 # Studentized-range-based critical values q_alpha at alpha = 0.05 for K
 # simultaneous methods (infinite degrees of freedom, divided by sqrt(2)).
@@ -83,60 +83,9 @@ def pairwise_significance(rt, cd: float) -> np.ndarray:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution, Q(df/2, x/2).
-
-    Computed from the regularized incomplete gamma function: a power series
-    for the lower function when x/2 < df/2 + 1, otherwise a modified Lentz
-    continued fraction for the upper function. Relative accuracy ~1e-14.
-    """
+    """Upper tail of the chi-square distribution with ``df`` degrees of freedom."""
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if x <= 0.0:
         return 1.0
-    s = df / 2.0
-    z = x / 2.0
-    if z < s + 1.0:
-        return 1.0 - _gamma_lower_series(s, z)
-    return _gamma_upper_cf(s, z)
-
-
-def _gamma_front(s: float, z: float) -> float:
-    return math.exp(-z + s * math.log(z) - math.lgamma(s))
-
-
-def _gamma_lower_series(s: float, z: float) -> float:
-    """Regularized lower incomplete gamma P(s,z) by power series."""
-    term = 1.0 / s
-    total = term
-    a = s
-    for _ in range(1000):
-        a += 1.0
-        term *= z / a
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * _gamma_front(s, z)
-
-
-def _gamma_upper_cf(s: float, z: float) -> float:
-    """Regularized upper incomplete gamma Q(s,z) by continued fraction."""
-    tiny = 1e-300
-    b = z + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return h * _gamma_front(s, z)
+    return float(chi2.sf(x, df))

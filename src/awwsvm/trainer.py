@@ -150,7 +150,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                     for cls in (1, -1):
                         if not np.any(next_active & (y == cls)):
                             raise TrainingError(
-                                f"noise elimination removed every class-{cls:+d} sample")
+                                f"noise elimination removed every class {cls:+d} sample")
                     ws.active = next_active
                     ws.alpha[flagged] = 0.0
                     active_idx = np.where(ws.active)[0]
@@ -176,6 +176,23 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
 
 RESULTS_COLUMNS = ["dataset", "method", "seed", "outer_iter", "accuracy", "precision",
                    "recall", "specificity", "f1", "gmean", "train_loss", "n_noise"]
+METRIC_COLUMNS = ["accuracy", "precision", "recall", "specificity", "f1", "gmean"]
+SUMMARY_COLUMNS = ["dataset", "method", "n_seeds", *METRIC_COLUMNS]
+
+
+def to_csv(rows: list[dict], columns: list[str]) -> str:
+    """Header plus one line per row; floats are written with 6 decimals."""
+    buf = io.StringIO()
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
+        buf.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
+    return buf.getvalue()
+
+
+def _format_cell(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.6f}"
+    return str(v)
 
 
 @dataclass(frozen=True)
@@ -195,88 +212,62 @@ class ExperimentResults:
         return [r for r in self.rows if r["outer_iter"] == "final"]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(RESULTS_COLUMNS) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_format_cell(row[c]) for c in RESULTS_COLUMNS) + "\n")
-        return buf.getvalue()
+        return to_csv(self.rows, RESULTS_COLUMNS)
 
     def summary(self) -> list[dict]:
         """Mean of the final metrics over seeds, one entry per (dataset, method)."""
         groups: dict[tuple[str, str], list[dict]] = {}
-        order: list[tuple[str, str]] = []
         for row in self.final_rows():
-            key = (row["dataset"], row["method"])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
+            groups.setdefault((row["dataset"], row["method"]), []).append(row)
         out = []
-        for key in order:
-            rows = groups[key]
-            entry = {"dataset": key[0], "method": key[1], "n_seeds": len(rows)}
-            for col in ("accuracy", "precision", "recall", "specificity", "f1", "gmean"):
+        for (dataset, method), rows in groups.items():
+            entry = {"dataset": dataset, "method": method, "n_seeds": len(rows)}
+            for col in METRIC_COLUMNS:
                 entry[col] = float(np.mean([r[col] for r in rows]))
             out.append(entry)
         return out
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    return str(v)
-
-
-def _result_row(dataset: str, method: str, seed: int, outer_iter, rep: EvalReport,
-                train_loss: float, n_noise: int) -> dict:
-    return {
-        "dataset": dataset, "method": method, "seed": seed, "outer_iter": outer_iter,
-        "accuracy": rep.accuracy, "precision": rep.precision, "recall": rep.recall,
-        "specificity": rep.specificity, "f1": rep.f1, "gmean": rep.gmean,
-        "train_loss": train_loss, "n_noise": n_noise,
-    }
+def history_rows(name: str, cfg: TrainConfig, history: TrainHistory) -> list[dict]:
+    """One ``RESULTS_COLUMNS`` row per outer round of a run of ``cfg``."""
+    rows = []
+    for i, rec in enumerate(history.records, start=1):
+        rep = rec.test_report
+        row = {"dataset": name, "method": cfg.method_name, "seed": cfg.seed, "outer_iter": i,
+               "train_loss": rec.train_loss, "n_noise": rec.n_noise}
+        row.update((col, getattr(rep, col)) for col in METRIC_COLUMNS)
+        rows.append(row)
+    return rows
 
 
 def run_cell(name: str, train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig, seed: int) -> list[dict]:
     """All result rows (per-iteration plus final) for one sweep cell."""
     cell_cfg = replace(cfg, seed=seed)
-    model, history = train(train_ds, eval_ds, cell_cfg)
-    rows = []
-    for i, rec in enumerate(history.records, start=1):
-        rows.append(_result_row(name, cfg.method_name, seed, i, rec.test_report,
-                                rec.train_loss, rec.n_noise))
-    last = history.records[-1]
-    rows.append(_result_row(name, cfg.method_name, seed, "final", last.test_report,
-                            last.train_loss, last.n_noise))
-    return rows
+    _, history = train(train_ds, eval_ds, cell_cfg)
+    rows = history_rows(name, cell_cfg, history)
+    return rows + [{**rows[-1], "outer_iter": "final"}]
 
 
-def run_experiment(datasets: list[tuple[str, Dataset, Dataset]],
-                   methods: list[TrainConfig],
-                   seeds: list[int],
+def run_experiment(cells: list[tuple[str, Dataset, Dataset, TrainConfig, int]],
                    jobs: int = 1) -> ExperimentResults:
-    """Sweep datasets x methods x seeds; per-cell failures are recorded and do
-    not abort the sweep. Output ordering is independent of ``jobs``."""
-    cells = [(name, tr, ev, cfg, seed)
-             for name, tr, ev in datasets for cfg in methods for seed in seeds]
-    results = ExperimentResults()
-    outputs = [None] * len(cells)
-
-    def compute(i: int) -> None:
-        name, tr, ev, cfg, seed = cells[i]
+    """Run each ``(name, train_ds, eval_ds, cfg, seed)`` cell, keeping the
+    rows in cell order whatever ``jobs`` is. A cell's failure is recorded and
+    does not abort the sweep."""
+    def compute(cell) -> list[dict] | RunFailure:
+        name, tr, ev, cfg, seed = cell
         try:
-            outputs[i] = run_cell(name, tr, ev, cfg, seed)
+            return run_cell(name, tr, ev, cfg, seed)
         except Exception as exc:  # noqa: BLE001 - sweep must survive any cell
-            outputs[i] = RunFailure(name, cfg.method_name, seed, str(exc))
+            return RunFailure(name, cfg.method_name, seed, str(exc))
 
     if jobs > 1 and len(cells) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(compute, range(len(cells))))
+            outputs = list(pool.map(compute, cells))
     else:
-        for i in range(len(cells)):
-            compute(i)
+        outputs = [compute(cell) for cell in cells]
 
+    results = ExperimentResults()
     for out in outputs:
         if isinstance(out, RunFailure):
             results.failures.append(out)

@@ -176,6 +176,46 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(tmp_path / "none.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("section, entry, key", [
+        ("methods", {"optimzer": "onaq", "adaptve": True}, "optimzer"),
+        ("methods", {"seed": 3}, "seed"),
+        ("methods", {"jobs": 2}, "jobs"),
+        ("train", {"inner_itres": 3}, "inner_itres"),
+        ("datasets", {"preset": True}, "preset"),
+        ("manifest", {"seed": [1, 2]}, "seed"),
+    ])
+    def test_ignored_manifest_key_is_usage_error(self, two_files, tmp_path, capsys,
+                                                 section, entry, key):
+        manifest = {"datasets": [{"path": str(two_files[0])}],
+                    "methods": [{"optimizer": "sgd"}], "train": {"outer_iters": 1}}
+        if section == "manifest":
+            manifest.update(entry)
+        elif section == "train":
+            manifest["train"].update(entry)
+        else:
+            manifest[section][0].update(entry)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown key" in err and repr(key) in err
+        where = {"manifest": str(path), "train": "train"}.get(section, f"{section}[0]")
+        assert err.startswith(f"error: {where} {{")
+        assert not (out / "results.csv").exists()
+
+    def test_preset_sets_dataset_budget(self, two_files, tmp_path):
+        manifest = _write_manifest(
+            tmp_path, [{"name": "w1a", "path": str(two_files[0])}],
+            [{"optimizer": "sgd", "adaptive": True, "preset": True}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        # the w1a preset runs 10 outer rounds where the shared train entry says 2
+        assert [r.split(",")[3] for r in rows] == [str(i) for i in range(1, 11)] + ["final"]
+
 
 class TestStatsCommand:
     @pytest.fixture()

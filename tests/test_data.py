@@ -38,6 +38,16 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_libsvm("+1 1:x")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_value_rejected(self, value):
+        with pytest.raises(ParseError, match=f"line 2: non-finite feature value '2:{value}'"):
+            parse_libsvm(f"+1 1:1.0\n-1 1:0.5 2:{value}")
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "1.5"])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ParseError, match="line 1: unsupported label"):
+            parse_libsvm(f"{label} 1:1.0")
+
     def test_index_zero_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_libsvm("+1 0:1.0")

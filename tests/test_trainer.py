@@ -8,7 +8,7 @@ from awwsvm.objective import ObjectiveConfig, WeightMode
 from awwsvm.optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
 from awwsvm.trainer import (Optimizer, RESULTS_COLUMNS, TrainConfig, TrainingError,
                             run_experiment, train)
-from awwsvm.weighting import init_weights
+from awwsvm.weighting import detect_noise, init_weights
 
 
 def small_config(optimizer=Optimizer.SGD, **kw):
@@ -117,7 +117,8 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             train(ds, ds, small_config())
 
-    def test_abort_when_class_would_be_emptied(self):
+    @staticmethod
+    def _straddling_positives():
         # the two positives straddle the learned boundary, so both get
         # flagged as wrong-siders and the positive class would vanish
         rng = np.random.default_rng(3)
@@ -129,7 +130,21 @@ class TestTrainLoop:
         cfg = TrainConfig(optimizer=Optimizer.OBFGS, adaptive=True, outer_iters=10,
                           inner_iters=10, batch_size=16, seed=2,
                           objective=ObjectiveConfig(C=1e-4, weight_mode=WeightMode.HINGE))
+        return ds, cfg
+
+    def test_abort_when_class_would_be_emptied(self):
+        ds, cfg = self._straddling_positives()
         with pytest.raises(TrainingError, match="class"):
+            train(ds, ds, cfg)
+
+    def test_emptied_class_named_by_its_label(self):
+        # two classmates on opposite sides of the hyperplane are both flagged
+        d = np.array([-1.0, -2.0, 0.5, -0.5])
+        y = np.array([-1, -1, 1, 1])
+        np.testing.assert_array_equal(detect_noise(d, y, np.ones(4, dtype=bool)), [2, 3])
+        ds, cfg = self._straddling_positives()
+        with pytest.raises(TrainingError,
+                           match=r"^noise elimination removed every class \+1 sample$"):
             train(ds, ds, cfg)
 
     def test_rawdot_noise_mode_runs_end_to_end(self):
@@ -149,6 +164,12 @@ class TestTrainLoop:
         assert h1.test_accuracy == h2.test_accuracy
 
 
+def _sweep(datasets, methods, seeds, jobs=1):
+    """run_experiment over the datasets x methods x seeds cross product."""
+    return run_experiment([(name, tr, ev, cfg, seed) for name, tr, ev in datasets
+                           for cfg in methods for seed in seeds], jobs=jobs)
+
+
 class TestRunExperiment:
     @staticmethod
     def _cells():
@@ -163,7 +184,7 @@ class TestRunExperiment:
 
     def test_row_counts(self):
         datasets, methods = self._cells()
-        res = run_experiment(datasets, methods, seeds=[0, 1])
+        res = _sweep(datasets, methods, seeds=[0, 1])
         assert len(res.final_rows()) == 2 * 2 * 2
         per_run_rows = 3 + 1  # outer_iters history rows plus the final row
         assert len(res.rows) == 2 * 2 * 2 * per_run_rows
@@ -171,20 +192,20 @@ class TestRunExperiment:
 
     def test_csv_deterministic(self):
         datasets, methods = self._cells()
-        a = run_experiment(datasets, methods, seeds=[0, 1]).to_csv()
-        b = run_experiment(datasets, methods, seeds=[0, 1]).to_csv()
+        a = _sweep(datasets, methods, seeds=[0, 1]).to_csv()
+        b = _sweep(datasets, methods, seeds=[0, 1]).to_csv()
         assert a == b
         assert a.splitlines()[0] == ",".join(RESULTS_COLUMNS)
 
     def test_jobs_do_not_change_output(self):
         datasets, methods = self._cells()
-        serial = run_experiment(datasets, methods, seeds=[0]).to_csv()
-        threaded = run_experiment(datasets, methods, seeds=[0], jobs=4).to_csv()
+        serial = _sweep(datasets, methods, seeds=[0]).to_csv()
+        threaded = _sweep(datasets, methods, seeds=[0], jobs=4).to_csv()
         assert serial == threaded
 
     def test_empty_methods_give_empty_table(self):
         datasets, _ = self._cells()
-        res = run_experiment(datasets, [], seeds=[0])
+        res = _sweep(datasets, [], seeds=[0])
         assert res.rows == []
         assert res.to_csv() == ",".join(RESULTS_COLUMNS) + "\n"
 
@@ -193,14 +214,14 @@ class TestRunExperiment:
             [Sample(features=((1, 1.0),), label=1) for _ in range(5)])
         ok = synth_two_gaussians(10, 10, 3.0, 0.0, seed=1)
         datasets = [("bad", single_class, ok), ("good", ok, ok)]
-        res = run_experiment(datasets, [small_config()], seeds=[0])
+        res = _sweep(datasets, [small_config()], seeds=[0])
         assert len(res.failures) == 1
         assert res.failures[0].dataset == "bad"
         assert {r["dataset"] for r in res.final_rows()} == {"good"}
 
     def test_summary_averages_over_seeds(self):
         datasets, methods = self._cells()
-        res = run_experiment(datasets, methods, seeds=[0, 1, 2])
+        res = _sweep(datasets, methods, seeds=[0, 1, 2])
         summary = res.summary()
         assert len(summary) == 4
         assert all(s["n_seeds"] == 3 for s in summary)
