@@ -195,7 +195,10 @@ def cmd_train(args) -> int:
     if cfg["test_data"]:
         train_ds, eval_ds = ds, _load_dataset(cfg["test_data"])
     else:
-        train_ds, eval_ds = split(ds, cfg["split"], cfg["seed"])
+        try:
+            train_ds, eval_ds = split(ds, cfg["split"], cfg["seed"])
+        except ValueError as exc:
+            raise CliError(f"cannot split {cfg['data']}: {exc}") from None
 
     out = _out_dir(cfg["out"], "awwsvm-run")
     (out / "resolved.cfg").write_text(format_config(cfg), encoding="utf-8")
@@ -242,10 +245,23 @@ def _check_keys(entry, allowed: set[str], where: str) -> None:
                        f"{', '.join(map(repr, unknown))}; allowed: {', '.join(sorted(allowed))}")
 
 
+def _coerce_entry(entry: dict, where: str) -> dict:
+    """``entry`` with each config value cast to its schema type; a value that
+    does not cast is a usage error naming the key and its entry."""
+    coerced = {}
+    for key, value in entry.items():
+        try:
+            coerced[key] = _coerce(key, value) if key in CONFIG_SCHEMA else value
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{where} {json.dumps(entry, sort_keys=True)}: "
+                           f"bad value for {key!r}: {exc}") from None
+    return coerced
+
+
 def _method_config(shared: dict, entry: dict, dataset: str) -> TrainConfig:
     merged = {**shared, **entry}
     values = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-    values.update((k, _coerce(k, v)) for k, v in merged.items() if k != "preset")
+    values.update((k, v) for k, v in merged.items() if k != "preset")
     cfg = build_train_config(values)
     if merged.get("preset") and dataset.lower() in PRESETS:
         cfg = preset_config(dataset, cfg.optimizer, cfg.adaptive, base=cfg)
@@ -260,17 +276,25 @@ def cmd_experiment(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.manifest}: invalid JSON: {exc}") from None
     _check_keys(manifest, MANIFEST_KEYS, args.manifest)
-    seeds = [int(s) for s in manifest.get("seeds", [0])]
+    seeds = manifest.get("seeds", [0])
+    try:
+        seeds = [_coerce("seed", seed) for seed in seeds]
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"seeds {json.dumps(seeds)}: {exc}") from None
     shared = manifest.get("train", {})
     _check_keys(shared, METHOD_KEYS, "train")
-    method_entries = manifest.get("methods", [])
-    for i, entry in enumerate(method_entries):
+    shared = _coerce_entry(shared, "train")
+    method_entries = []
+    for i, entry in enumerate(manifest.get("methods", [])):
         _check_keys(entry, METHOD_KEYS, f"methods[{i}]")
-    dataset_entries = manifest.get("datasets", [])
-    for i, entry in enumerate(dataset_entries):
+        method_entries.append(_coerce_entry(entry, f"methods[{i}]"))
+    dataset_entries = []
+    for i, entry in enumerate(manifest.get("datasets", [])):
         _check_keys(entry, DATASET_KEYS, f"datasets[{i}]")
+        where = f"datasets[{i}] {json.dumps(entry, sort_keys=True)}"
         if "path" not in entry:
-            raise CliError(f"datasets[{i}] {json.dumps(entry, sort_keys=True)}: no 'path'")
+            raise CliError(f"{where}: no 'path'")
+        dataset_entries.append((where, _coerce_entry(entry, f"datasets[{i}]")))
 
     out = _out_dir(args.out, "awwsvm-experiment")
     (out / "resolved-manifest.json").write_text(
@@ -278,16 +302,19 @@ def cmd_experiment(args) -> int:
 
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
-    for entry in dataset_entries:
+    for where, entry in dataset_entries:
         name = entry.get("name") or Path(entry["path"]).stem
         ds = _load_dataset(entry["path"])
         test = _load_dataset(entry["test_path"]) if entry.get("test_path") else None
         configs = [_method_config(shared, m, name) for m in method_entries]
-        datasets.append((name, ds, test, float(entry.get("split", 0.2)), configs))
+        datasets.append((where, name, ds, test, entry.get("split", 0.2), configs))
     cells = []
     for seed in seeds:
-        for name, ds, test, frac, configs in datasets:
-            tr, ev = (ds, test) if test is not None else split(ds, frac, seed)
+        for where, name, ds, test, frac, configs in datasets:
+            try:
+                tr, ev = (ds, test) if test is not None else split(ds, frac, seed)
+            except ValueError as exc:
+                raise CliError(f"{where}: cannot split: {exc}") from None
             cells.extend((name, tr, ev, cfg, seed) for cfg in configs)
     res = run_experiment(cells, jobs=args.jobs)
 

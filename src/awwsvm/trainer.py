@@ -36,7 +36,8 @@ class Optimizer(Enum):
 
 
 class TrainingError(RuntimeError):
-    """Training cannot proceed (e.g. noise elimination emptied a class)."""
+    """Training cannot proceed (e.g. noise elimination emptied a class, or
+    the weights diverged)."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
 
     history = TrainHistory()
     active_idx = np.where(ws.active)[0]
-    for _ in range(cfg.outer_iters):
+    for outer in range(1, cfg.outer_iters + 1):
         for _ in range(cfg.inner_iters):
             bidx = sampler.next_batch(active_idx)
             Xb, yb, ab = X[bidx], y[bidx], ws.alpha[bidx]
@@ -138,6 +139,8 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                 w = obfgs_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
             else:
                 w = onaq_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
+        if not np.isfinite(w).all():
+            raise TrainingError(f"weights diverged to a non-finite value in outer round {outer}")
 
         if cfg.adaptive:
             geo_norm = float(np.linalg.norm(w[:-1]))

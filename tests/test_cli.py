@@ -101,6 +101,22 @@ class TestTrainCommand:
         assert "sigma = 0.5" in resolved
         assert "outer_iters = 2" in resolved
 
+    def test_bad_split_fraction_is_usage_error(self, synth_file, tmp_path, capsys):
+        rc = main(["train", "--data", str(synth_file), "--split", "1.5",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot split {synth_file}: "
+                       "test_fraction must be in (0,1), got 1.5\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_usage_error_naming_round(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(synth_file), "--alpha0", "1e200", "--out", str(out)])
+        assert rc == 2
+        assert "non-finite value in outer round 1" in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
     def test_unknown_config_key_rejected(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -204,6 +220,60 @@ class TestExperimentCommand:
         where = {"manifest": str(path), "train": "train"}.get(section, f"{section}[0]")
         assert err.startswith(f"error: {where} {{")
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("section, entry, key, message", [
+        ("methods", {"adaptive": "maybe"}, "adaptive", "not a boolean: 'maybe'"),
+        ("train", {"outer_iters": "ten"}, "outer_iters", "invalid literal for int()"),
+        ("datasets", {"split": "abc"}, "split", "could not convert string to float"),
+        ("datasets", {"split": None}, "split", "must be a string or a real number"),
+    ])
+    def test_bad_manifest_value_is_usage_error(self, two_files, tmp_path, capsys,
+                                               section, entry, key, message):
+        manifest = {"datasets": [{"path": str(two_files[0])}],
+                    "methods": [{"optimizer": "sgd"}], "train": {"outer_iters": 1}}
+        if section == "train":
+            manifest["train"].update(entry)
+        else:
+            manifest[section][0].update(entry)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        rc = main(["experiment", "--manifest", str(path), "--out", str(tmp_path / "exp")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        where = "train" if section == "train" else f"{section}[0]"
+        assert err.startswith(f"error: {where} {{")
+        assert f"bad value for {key!r}: " in err and message in err
+
+    @pytest.mark.parametrize("seeds", [["x"], 3])
+    def test_bad_seeds_are_usage_error(self, two_files, tmp_path, capsys, seeds):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"datasets": [{"path": str(two_files[0])}],
+                                    "methods": [{}], "seeds": seeds}))
+        rc = main(["experiment", "--manifest", str(path), "--out", str(tmp_path / "exp")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: seeds {json.dumps(seeds)}: ")
+
+    def test_bad_split_is_usage_error(self, two_files, tmp_path, capsys):
+        entry = {"path": str(two_files[0]), "split": 2}
+        manifest = _write_manifest(tmp_path, [entry], [{"optimizer": "sgd"}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: cannot split: "
+                       "test_fraction must be in (0,1), got 2.0\n")
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_cell_recorded_in_failures(self, two_files, tmp_path):
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}],
+                                   [{"optimizer": "sgd"}, {"optimizer": "sgd", "alpha0": 1e200}],
+                                   seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 1
+        assert (out / "failures.txt").read_text() == (
+            "ds0,sgd,0,weights diverged to a non-finite value in outer round 1\n")
 
     def test_preset_sets_dataset_budget(self, two_files, tmp_path):
         manifest = _write_manifest(

@@ -147,6 +147,12 @@ class TestTrainLoop:
                            match=r"^noise elimination removed every class \+1 sample$"):
             train(ds, ds, cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_raises_naming_round(self, synth_pair):
+        train_ds, eval_ds = synth_pair
+        with pytest.raises(TrainingError, match=r"non-finite value in outer round 1$"):
+            train(train_ds, eval_ds, small_config(alpha0=1e200))
+
     def test_rawdot_noise_mode_runs_end_to_end(self):
         from awwsvm.weighting import NoiseMode
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
