@@ -258,14 +258,15 @@ def _coerce_entry(entry: dict, where: str) -> dict:
     return coerced
 
 
-def _method_config(shared: dict, entry: dict, dataset: str) -> TrainConfig:
-    merged = {**shared, **entry}
-    values = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-    values.update((k, v) for k, v in merged.items() if k != "preset")
-    cfg = build_train_config(values)
-    if merged.get("preset") and dataset.lower() in PRESETS:
-        cfg = preset_config(dataset, cfg.optimizer, cfg.adaptive, base=cfg)
-    return cfg
+def _entry_config(values: dict, where: str) -> TrainConfig:
+    """The TrainConfig of manifest ``values`` over the defaults; a value that
+    fails validation is a usage error naming its entry."""
+    merged = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
+    merged.update((k, v) for k, v in values.items() if k != "preset")
+    try:
+        return build_train_config(merged)
+    except CliError as exc:
+        raise CliError(f"{where}: {exc}") from None
 
 
 def cmd_experiment(args) -> int:
@@ -281,13 +282,16 @@ def cmd_experiment(args) -> int:
         seeds = [_coerce("seed", seed) for seed in seeds]
     except (TypeError, ValueError) as exc:
         raise CliError(f"seeds {json.dumps(seeds)}: {exc}") from None
-    shared = manifest.get("train", {})
-    _check_keys(shared, METHOD_KEYS, "train")
-    shared = _coerce_entry(shared, "train")
-    method_entries = []
+    raw_shared = manifest.get("train", {})
+    _check_keys(raw_shared, METHOD_KEYS, "train")
+    shared = _coerce_entry(raw_shared, "train")
+    _entry_config(shared, f"train {json.dumps(raw_shared, sort_keys=True)}")
+    methods = []
     for i, entry in enumerate(manifest.get("methods", [])):
         _check_keys(entry, METHOD_KEYS, f"methods[{i}]")
-        method_entries.append(_coerce_entry(entry, f"methods[{i}]"))
+        merged = {**shared, **_coerce_entry(entry, f"methods[{i}]")}
+        cfg = _entry_config(merged, f"methods[{i}] {json.dumps(entry, sort_keys=True)}")
+        methods.append((cfg, merged.get("preset")))
     dataset_entries = []
     for i, entry in enumerate(manifest.get("datasets", [])):
         _check_keys(entry, DATASET_KEYS, f"datasets[{i}]")
@@ -306,7 +310,8 @@ def cmd_experiment(args) -> int:
         name = entry.get("name") or Path(entry["path"]).stem
         ds = _load_dataset(entry["path"])
         test = _load_dataset(entry["test_path"]) if entry.get("test_path") else None
-        configs = [_method_config(shared, m, name) for m in method_entries]
+        configs = [preset_config(name, cfg.optimizer, cfg.adaptive, base=cfg)
+                   if preset and name.lower() in PRESETS else cfg for cfg, preset in methods]
         datasets.append((where, name, ds, test, entry.get("split", 0.2), configs))
     cells = []
     for seed in seeds:

@@ -9,6 +9,7 @@ non-augmented part only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -100,6 +101,9 @@ def save_model(m: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
+    """Read a ``save_model`` file. A bias or weight that is not a finite
+    number, or a non-blank line after the weights, is a ValueError naming the
+    path and the 1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _HEADER:
@@ -113,8 +117,22 @@ def load_model(path: str) -> LinearModel:
         for pair in lines[3].split()[1:]:
             k, _, v = pair.partition(":")
             label_map[int(k)] = int(v)
-    b = float(lines[4].split(" ", 1)[1])
-    w = np.array([float(v) for v in lines[5:5 + dim]], dtype=np.float64)
-    if len(w) != dim:
-        raise ValueError(f"{path}: expected {dim} weights, found {len(w)}")
+    b = _finite(path, 5, lines[4].split(" ", 1)[1])
+    weights = lines[5:5 + dim]
+    if len(weights) != dim:
+        raise ValueError(f"{path}: expected {dim} weights, found {len(weights)}")
+    w = np.array([_finite(path, n, v) for n, v in enumerate(weights, start=6)], dtype=np.float64)
+    for n, text in enumerate(lines[5 + dim:], start=6 + dim):
+        if text.strip():
+            raise ValueError(f"{path}:{n}: unexpected line after the {dim} weights: {text!r}")
     return LinearModel(w=w, b=b, label_map=label_map)
+
+
+def _finite(path: str, lineno: int, text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+    return v

@@ -22,6 +22,13 @@ from .objective import ObjectiveConfig, subgradient
 # Skip the inverse-Hessian update when y.s <= floor * ||s|| * ||y||.
 CURVATURE_FLOOR = 1e-10
 
+# Largest dense inverse Hessian a quasi-Newton run may allocate (d >= 16,385
+# is refused); the sgd optimizer keeps no d x d state.
+MAX_DENSE_H_BYTES = 2**31
+
+# Elements per scratch buffer of the blocked H update (256 KiB of float64).
+_BLOCK_ELEMS = 2**15
+
 
 class ScheduleKind(Enum):
     CONSTANT = "constant"
@@ -70,22 +77,50 @@ class QuasiNewtonState:
             raise ValueError("damping must be nonnegative")
         if not 0.0 <= mu < 1.0:
             raise ValueError(f"mu must lie in [0,1), got {mu}")
-        return cls(H=eps_h * np.eye(dim), v=np.zeros(dim), k=1, damping=damping, mu=mu)
+        need = dim * dim * 8
+        if need > MAX_DENSE_H_BYTES:
+            raise MemoryError(f"a dense {dim} x {dim} inverse Hessian needs {need / 2**30:.2f} GiB, "
+                              f"above the {MAX_DENSE_H_BYTES / 2**30:g} GiB bound")
+        H = np.eye(dim)
+        H *= eps_h
+        return cls(H=H, v=np.zeros(dim), k=1, damping=damping, mu=mu)
 
 
 def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(I - s y^T/y.s) H (I - y s^T/y.s) + s s^T/y.s, expanded symmetrically.
 
-    Preserves symmetry exactly and positive definiteness whenever y.s > 0;
-    the caller must not pass a pair below the curvature floor.
+    Overwrites the float64 array ``H`` with the update and returns it. With
+    rho = 1/y.s, u = H y and c = rho^2 y.u + rho, element (i, j) becomes
+    (H_ij - rho*(s_i*u_j + u_i*s_j)) + c*(s_i*s_j), rounded in that order,
+    so a symmetric H stays exactly symmetric. Rows are updated in blocks
+    through two small scratch buffers, so no d x d temporary is allocated.
+    In exact arithmetic it preserves positive definiteness whenever
+    y.s > 0; a pair below the curvature floor raises ValueError and leaves
+    H unchanged.
     """
     ys = float(y @ s)
     if ys <= CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
         raise ValueError(f"curvature y.s={ys} too small for a stable update")
     rho = 1.0 / ys
     u = H @ y
-    cross = np.outer(s, u) + np.outer(u, s)
-    return H - rho * cross + (rho * rho * float(y @ u) + rho) * np.outer(s, s)
+    c = rho * rho * float(y @ u) + rho
+    d = len(s)
+    rows = min(d, max(1, _BLOCK_ELEMS // d))
+    a_buf, b_buf = np.empty((rows, d)), np.empty((rows, d))
+    s_col, u_col = s[:, None], u[:, None]
+    for i in range(0, d, rows):
+        j = i + rows
+        blk = H[i:j]
+        a, b = a_buf[:len(blk)], b_buf[:len(blk)]
+        np.multiply(s_col[i:j], u, a)
+        np.multiply(u_col[i:j], s, b)
+        a += b
+        a *= rho
+        blk -= a
+        np.multiply(s_col[i:j], s, b)
+        b *= c
+        blk += b
+    return H
 
 
 def _curvature_ok(s: np.ndarray, y: np.ndarray) -> bool:

@@ -36,8 +36,8 @@ class Optimizer(Enum):
 
 
 class TrainingError(RuntimeError):
-    """Training cannot proceed (e.g. noise elimination emptied a class, or
-    the weights diverged)."""
+    """Training cannot proceed (e.g. noise elimination emptied a class, the
+    weights diverged, or the dense inverse Hessian would be too large)."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,11 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
     schedule = cfg.schedule()
     qn = None
     if cfg.optimizer is not Optimizer.SGD:
-        qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
+        try:
+            qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
+        except MemoryError as exc:
+            raise TrainingError(f"augmented dimension {d_aug}: {exc}; "
+                                "the sgd optimizer keeps no d x d state") from exc
     sgd_k = 1
 
     history = TrainHistory()

@@ -16,6 +16,14 @@ def synth_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def wide_file(tmp_path):
+    """Two rows whose largest feature index is 20,000."""
+    path = tmp_path / "wide.libsvm"
+    path.write_text("+1 1:1.0 20000:0.5\n-1 2:1.0\n")
+    return path
+
+
 class TestSynthCommand:
     def test_writes_requested_sample_count(self, tmp_path):
         out = tmp_path / "s.libsvm"
@@ -116,6 +124,21 @@ class TestTrainCommand:
         assert rc == 2
         assert "non-finite value in outer round 1" in capsys.readouterr().err
         assert not (out / "model.txt").exists()
+
+    @pytest.mark.parametrize("optimizer, code", [("obfgs", 2), ("onaq", 2), ("sgd", 0)])
+    def test_oversized_inverse_hessian_is_usage_error(self, wide_file, tmp_path, capsys,
+                                                      optimizer, code):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(wide_file), "--test-data", str(wide_file),
+                   "--optimizer", optimizer, "--outer-iters", "1", "--inner-iters", "2",
+                   "--out", str(out)])
+        assert rc == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                "error: training aborted: augmented dimension 20001: a dense 20001 x 20001 "
+                "inverse Hessian needs 2.98 GiB, above the 2 GiB bound; the sgd optimizer "
+                "keeps no d x d state\n")
+            assert not (out / "model.txt").exists()
 
     def test_unknown_config_key_rejected(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -244,6 +267,22 @@ class TestExperimentCommand:
         assert err.startswith(f"error: {where} {{")
         assert f"bad value for {key!r}: " in err and message in err
 
+    @pytest.mark.parametrize("patch, where, message", [
+        ({"methods": [{"outer_iters": 0}]}, 'methods[0] {"outer_iters": 0}',
+         "outer_iters and inner_iters must be >= 1"),
+        ({"train": {"sigma": 0}}, 'train {"sigma": 0}', "sigma must be positive"),
+    ])
+    def test_invalid_manifest_value_names_entry(self, two_files, tmp_path, capsys,
+                                                patch, where, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"datasets": [{"path": str(two_files[0])}],
+                                    "methods": [{}], **patch}))
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds", [["x"], 3])
     def test_bad_seeds_are_usage_error(self, two_files, tmp_path, capsys, seeds):
         path = tmp_path / "bad.json"
@@ -274,6 +313,16 @@ class TestExperimentCommand:
         assert rc == 1
         assert (out / "failures.txt").read_text() == (
             "ds0,sgd,0,weights diverged to a non-finite value in outer round 1\n")
+
+    def test_oversized_inverse_hessian_recorded_in_failures(self, wide_file, tmp_path):
+        manifest = _write_manifest(tmp_path, [{"path": str(wide_file), "test_path": str(wide_file)}],
+                                   [{"optimizer": "sgd"}, {"optimizer": "obfgs"}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 1
+        failures = (out / "failures.txt").read_text().splitlines()
+        assert len(failures) == 1
+        assert failures[0].startswith("wide,obfgs,0,augmented dimension 20001: ")
 
     def test_preset_sets_dataset_budget(self, two_files, tmp_path):
         manifest = _write_manifest(

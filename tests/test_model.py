@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,21 @@ class TestSerialization:
         path = tmp_path / "m.txt"
         save_model(m, str(path))
         assert load_model(str(path)).label_map is None
+
+    @pytest.mark.parametrize("edit, line, bad", [
+        (lambda ls: ls[:4] + ["b inf"] + ls[5:] + ["nan", "trailing"], 5, "'inf'"),
+        (lambda ls: ls[:4] + ["b nan"] + ls[5:], 5, "'nan'"),
+        (lambda ls: ls[:6] + ["nan"] + ls[7:], 7, "'nan'"),
+        (lambda ls: ls[:5] + ["-inf"] + ls[6:], 6, "'-inf'"),
+        (lambda ls: ls[:6] + ["0.x"], 7, "'0.x'"),
+        (lambda ls: ls + ["", "trailing"], 9, "after the 2 weights: 'trailing'"),
+    ])
+    def test_rejects_bad_value_naming_line(self, tmp_path, edit, line, bad):
+        path = tmp_path / "m.txt"
+        save_model(LinearModel(w=np.array([0.1, -0.2]), b=0.5), str(path))
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: .*{re.escape(bad)}$"):
+            load_model(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -1,9 +1,13 @@
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from awwsvm.objective import ObjectiveConfig, WeightMode
-from awwsvm.optimizers import (QuasiNewtonState, ScheduleKind, StepSchedule,
-                               bfgs_inverse_update, obfgs_step, onaq_step, sgd_step)
+from awwsvm.optimizers import (CURVATURE_FLOOR, MAX_DENSE_H_BYTES, QuasiNewtonState,
+                               ScheduleKind, StepSchedule, bfgs_inverse_update, obfgs_step,
+                               onaq_step, sgd_step)
 
 REG = ObjectiveConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
 
@@ -105,8 +109,95 @@ class TestBfgsInverseUpdate:
             assert np.abs(H - H.T).max() < 1e-10
 
     def test_curvature_violation_raises(self):
+        H = np.array([[2.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError):
-            bfgs_inverse_update(np.eye(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+            bfgs_inverse_update(H, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        np.testing.assert_array_equal(H, [[2.0, 0.5], [0.5, 1.0]])
+
+    def test_overwrites_and_returns_h(self):
+        H = np.eye(3)
+        out = bfgs_inverse_update(H, np.array([1.0, 0.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+        assert out is H
+        assert not np.array_equal(H, np.eye(3))
+
+    # 16 rows per block at d = 2001, so its last block is one row; up to
+    # d = 181 the whole matrix is one block
+    @pytest.mark.parametrize("d", [1, 2, 3, 180, 181, 182, 2001])
+    @pytest.mark.parametrize("start", ["eps_identity", "random_spd"])
+    def test_bitwise_equal_to_outer_product_form(self, d, start):
+        rng = np.random.default_rng(d)
+        if start == "eps_identity":
+            H = QuasiNewtonState.initial(d, eps_h=0.3).H
+            np.testing.assert_array_equal(_bits(H), _bits(0.3 * np.eye(d)))
+        else:
+            B = rng.normal(size=(d, 4))
+            H = B @ B.T / 4 + np.diag(rng.uniform(0.5, 2.0, size=d))
+        ref = H.copy()
+        for _ in range(3):
+            s = rng.normal(size=d)
+            y = 0.7 * s + 0.2 * rng.normal(size=d)
+            if y @ s <= 0.0:
+                continue
+            ref = _outer_product_update(ref, s, y)
+            H = bfgs_inverse_update(H, s, y)
+            np.testing.assert_array_equal(_bits(H), _bits(ref))
+
+    def test_allocates_no_dense_temporary(self):
+        d = 1024
+        rng = np.random.default_rng(5)
+        H = np.eye(d)
+        s = rng.normal(size=d)
+        y = s + 0.1 * rng.normal(size=d)
+        tracemalloc.start()
+        try:
+            bfgs_inverse_update(H, s, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8 // 8
+
+    # The update is positive definite for every y.s > 0 in exact arithmetic.
+    # In float64 a pair whose cosine is near the floor leaves H too
+    # ill-conditioned to factor (Cholesky failed below cosines of about
+    # 1e-5), so factorization is asserted for cosines of at least 1e-3.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        st.floats(1e-2, 1e2),
+        st.lists(st.tuples(*[st.lists(st.integers(-1000, 1000), min_size=d, max_size=d)] * 2),
+                 min_size=1, max_size=5))))
+    def test_update_keeps_h_symmetric_and_factorable(self, case):
+        eps_h, pairs = case
+        H = QuasiNewtonState.initial(len(pairs[0][0]), eps_h=eps_h).H
+        factorable = True
+        for s, y in pairs:
+            s, y = np.array(s) / 100.0, np.array(y) / 100.0
+            cos = float(y @ s) / (np.linalg.norm(s) * np.linalg.norm(y) or 1.0)
+            if cos <= CURVATURE_FLOOR:
+                continue
+            H = bfgs_inverse_update(H, s, y)
+            factorable &= cos >= 1e-3
+            assert np.array_equal(H, H.T)
+            if factorable:
+                np.linalg.cholesky(H)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _outer_product_update(H, s, y):
+    """Reference: the update as three full outer products, whose rounding the
+    blocked in-place update must reproduce bit for bit."""
+    rho = 1.0 / float(y @ s)
+    u = H @ y
+    cross = np.outer(s, u) + np.outer(u, s)
+    return H - rho * cross + (rho * rho * float(y @ u) + rho) * np.outer(s, s)
+
+
+def test_dense_h_above_bound_refused_before_allocating():
+    assert 16_384 * 16_384 * 8 == MAX_DENSE_H_BYTES  # the largest H allowed
+    with pytest.raises(MemoryError, match="16385 x 16385 .* 2.00 GiB, above the 2 GiB bound"):
+        QuasiNewtonState.initial(16_385)
 
 
 def _single_sample_batch(x, label=1.0):
