@@ -7,9 +7,9 @@ online Nesterov-accelerated quasi-Newton) plus imbalance-aware metrics and a
 Friedman/Nemenyi cross-method comparison.
 """
 
-from .data import (Dataset, MinibatchSampler, ParseError, Sample, imbalance_ratio,
-                   load_libsvm, minmax_scale, parse_libsvm, save_libsvm, split,
-                   synth_two_gaussians, to_libsvm)
+from .data import (Dataset, MinibatchSampler, ParseError, RowBatch, Sample,
+                   imbalance_ratio, load_libsvm, minmax_scale, parse_libsvm, save_libsvm,
+                   split, synth_two_gaussians, to_libsvm)
 from .metrics import ConfusionMatrix, EvalReport, confusion, confusion_from_predictions, report
 from .model import (DegenerateModelError, LinearModel, decide, decision_values,
                     load_model, margin, predict, raw_score, save_model, signed_distance)

@@ -270,6 +270,8 @@ def _entry_config(values: dict, where: str) -> TrainConfig:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except FileNotFoundError:

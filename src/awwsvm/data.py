@@ -1,5 +1,5 @@
 """Sparse labeled datasets: LIBSVM text parsing, stratified splits, synthetic
-two-cluster generation, and deterministic minibatch sampling.
+two-cluster generation, deterministic minibatch sampling and batch row gathers.
 
 The on-disk format is the LIBSVM/SVMlight one: each nonempty line is
 ``<label> <idx>:<val> [<idx>:<val> ...]`` with strictly ascending 1-based
@@ -375,6 +375,36 @@ def minmax_scale(ds: Dataset) -> Dataset:
         blocks.append(sparse.csr_matrix(vals))
     return Dataset(X=sparse.vstack(blocks, format="csr"), y=ds.y.copy(),
                    label_map=dict(ds.label_map))
+
+
+class RowBatch:
+    """Rows ``idx`` of a CSR matrix as flat ``(row, col, val)`` entries, for
+    the minibatch products without a scipy object. ``batch @ w`` and
+    ``batch.T @ v`` add in the order of scipy's ``csr_matvec`` and of the
+    ``csc_matvec`` behind ``X[idx].T @ v``, so both equal the scipy products
+    bit for bit. ``T`` swaps the entry roles and copies nothing."""
+
+    __slots__ = ("rows", "cols", "vals", "shape")
+
+    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
+        self.rows, self.cols, self.vals, self.shape = rows, cols, vals, shape
+
+    @classmethod
+    def gather(cls, X: sparse.csr_matrix, idx: np.ndarray) -> "RowBatch":
+        starts = X.indptr[idx]
+        counts = X.indptr[idx + 1] - starts
+        rows = np.repeat(np.arange(len(idx)), counts)
+        # batch entry e of row r is X entry starts[r] + e - (r's first batch entry)
+        pos = np.arange(len(rows)) + (starts + counts - np.cumsum(counts))[rows]
+        return cls(rows, X.indices[pos], X.data[pos], (len(idx), X.shape[1]))
+
+    @property
+    def T(self) -> "RowBatch":
+        return RowBatch(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        out = np.bincount(self.rows, weights=self.vals * v[self.cols], minlength=self.shape[0])
+        return out.astype(np.float64, copy=False)  # bincount of no entries gives int64
 
 
 class MinibatchSampler:

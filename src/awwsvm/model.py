@@ -101,23 +101,28 @@ def save_model(m: LinearModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearModel:
-    """Read a ``save_model`` file. A bias or weight that is not a finite
-    number, or a non-blank line after the weights, is a ValueError naming the
-    path and the 1-based line."""
+    """Read a ``save_model`` file. A missing or malformed header line, a bias
+    or weight that is not a finite number, or a non-blank line after the
+    weights is a ValueError naming the path and the 1-based line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != _HEADER:
         raise ValueError(f"{path}: not an awwsvm model file")
-    dim = int(lines[1].split()[1])
-    if lines[2] != "bias augmented-last":
-        raise ValueError(f"{path}: unknown bias convention {lines[2]!r}")
+    dim_text = _field(path, lines, 2, "dim")
+    if not dim_text.isdecimal():
+        raise ValueError(f"{path}:2: dim must be a nonnegative integer, got {dim_text!r}")
+    dim = int(dim_text)
+    bias = _field(path, lines, 3, "bias")
+    if bias != "augmented-last":
+        raise ValueError(f"{path}:3: unknown bias convention {bias!r}")
     label_map = None
-    if lines[3] != "labels none":
-        label_map = {}
-        for pair in lines[3].split()[1:]:
-            k, _, v = pair.partition(":")
-            label_map[int(k)] = int(v)
-    b = _finite(path, 5, lines[4].split(" ", 1)[1])
+    labels = _field(path, lines, 4, "labels")
+    if labels != "none":
+        try:
+            label_map = {int(k): int(v) for k, v in (pair.split(":") for pair in labels.split())}
+        except ValueError:
+            raise ValueError(f"{path}:4: bad label pairs {labels!r}") from None
+    b = _finite(path, 5, _field(path, lines, 5, "b"))
     weights = lines[5:5 + dim]
     if len(weights) != dim:
         raise ValueError(f"{path}: expected {dim} weights, found {len(weights)}")
@@ -126,6 +131,16 @@ def load_model(path: str) -> LinearModel:
         if text.strip():
             raise ValueError(f"{path}:{n}: unexpected line after the {dim} weights: {text!r}")
     return LinearModel(w=w, b=b, label_map=label_map)
+
+
+def _field(path: str, lines: list[str], lineno: int, key: str) -> str:
+    """The value of 1-based header line ``lineno``, which must read ``<key> <value>``."""
+    text = lines[lineno - 1] if lineno <= len(lines) else None
+    name, _, value = (text or "").partition(" ")
+    if name != key or not value:
+        found = "end of file" if text is None else repr(text)
+        raise ValueError(f"{path}:{lineno}: expected '{key} <value>', found {found}")
+    return value
 
 
 def _finite(path: str, lineno: int, text: str) -> float:

@@ -20,7 +20,7 @@ import io
 
 import numpy as np
 
-from .data import Dataset, MinibatchSampler
+from .data import Dataset, MinibatchSampler, RowBatch
 from .metrics import EvalReport, confusion_from_predictions, report
 from .model import LinearModel
 from .objective import ObjectiveConfig, loss
@@ -112,7 +112,8 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
         raise TrainingError("training set must contain both classes")
     X = train_ds.to_matrix(augment=True)
     y = train_ds.labels()
-    X_raw = X[:, :-1]
+    # the non-augmented features, read only by the RAW_DOT noise rule
+    X_raw = train_ds.X if cfg.noise_mode is NoiseMode.RAW_DOT else None
     X_eval = eval_ds.to_matrix(dim=train_ds.dim, augment=True)
     y_eval = eval_ds.labels()
     n, d_aug = X.shape
@@ -135,7 +136,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
     for outer in range(1, cfg.outer_iters + 1):
         for _ in range(cfg.inner_iters):
             bidx = sampler.next_batch(active_idx)
-            Xb, yb, ab = X[bidx], y[bidx], ws.alpha[bidx]
+            Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], ws.alpha[bidx]
             if cfg.optimizer is Optimizer.SGD:
                 w = sgd_step(w, Xb, yb, ab, cfg.objective, schedule, sgd_k)
                 sgd_k += 1

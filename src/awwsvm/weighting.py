@@ -55,7 +55,9 @@ def aw_raw(d, sigma: float, spread: float):
     """Unclamped weight at unsigned distance ``d`` with distance spread M-m."""
     d = np.asarray(d, dtype=np.float64)
     gauss = 2.0 / (math.sqrt(2.0 * math.pi) * sigma) * np.exp(-(d ** 2) / (2.0 * sigma ** 2))
-    tail = (1.0 / spread) * np.exp(-d / spread)
+    rate = 1.0 / spread
+    # a subnormal spread overflows the reciprocal; dividing avoids inf * 0 = NaN
+    tail = rate * np.exp(-d / spread) if math.isfinite(rate) else np.exp(-d / spread) / spread
     return gauss + tail
 
 

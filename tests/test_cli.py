@@ -215,6 +215,16 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(tmp_path / "none.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, two_files, tmp_path, capsys, jobs):
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}],
+                                   [{"optimizer": "sgd"}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--jobs", jobs, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, entry, key", [
         ("methods", {"optimzer": "onaq", "adaptve": True}, "optimzer"),
         ("methods", {"seed": 3}, "seed"),

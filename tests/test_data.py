@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, imbalance_ratio,
                          minmax_scale, parse_libsvm, split, synth_two_gaussians, to_libsvm)
@@ -228,6 +229,17 @@ class TestMinibatchSampler:
         for _ in range(6):
             batch = s.next_batch(shrunk)
             assert set(batch.tolist()) <= set(shrunk.tolist())
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sets(st.integers(0, 500), min_size=1, max_size=60), st.integers(1, 70),
+           st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_each_epoch_serves_every_active_index_once(self, active, batch_size, seed, epochs):
+        s = MinibatchSampler(batch_size=batch_size, seed=seed)
+        active = np.array(sorted(active))
+        per_epoch = -(-len(active) // batch_size)
+        for _ in range(epochs):
+            served = np.concatenate([s.next_batch(active) for _ in range(per_epoch)])
+            assert sorted(served.tolist()) == active.tolist()
 
     def test_empty_active_is_error(self):
         s = MinibatchSampler(batch_size=2, seed=0)

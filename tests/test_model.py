@@ -114,6 +114,11 @@ class TestSerialization:
         (lambda ls: ls[:5] + ["-inf"] + ls[6:], 6, "'-inf'"),
         (lambda ls: ls[:6] + ["0.x"], 7, "'0.x'"),
         (lambda ls: ls + ["", "trailing"], 9, "after the 2 weights: 'trailing'"),
+        (lambda ls: ls[:1], 2, "found end of file"),
+        (lambda ls: ls[:1] + ["dim x"] + ls[2:], 2, "'x'"),
+        (lambda ls: ls[:1] + ["dim -1"] + ls[2:], 2, "'-1'"),
+        (lambda ls: ls[:3] + ["labels -1:x"] + ls[4:], 4, "'-1:x'"),
+        (lambda ls: ls[:4] + ["b"] + ls[5:], 5, "found 'b'"),
     ])
     def test_rejects_bad_value_naming_line(self, tmp_path, edit, line, bad):
         path = tmp_path / "m.txt"

@@ -2,12 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from awwsvm.weighting import (NoiseMode, aw_raw, aw_value, detect_noise,
                               init_weights, update_weights)
 
 GAUSS0 = 2.0 / math.sqrt(2.0 * math.pi)  # 0.7978845608028654
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def distances_and_mask(draw, elements=FINITE):
+    """Signed distances with an aligned active mask holding one active entry
+    or more."""
+    d = draw(st.lists(elements, min_size=1, max_size=40))
+    active = draw(st.lists(st.booleans(), min_size=len(d), max_size=len(d)))
+    active[draw(st.integers(0, len(d) - 1))] = True
+    return np.array(d), np.array(active)
 
 
 class TestInitWeights:
@@ -92,6 +105,23 @@ class TestUpdateWeights:
         update_weights(ws, np.array([0.5, 0.1, 1.0]))
         assert ws.alpha[1] == 0.0
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(distances_and_mask(), st.floats(1e-3, 1e3))
+    def test_weights_stay_in_unit_interval(self, case, sigma):
+        d, active = case
+        ws = init_weights(len(d), sigma=sigma)
+        ws.active = active
+        update_weights(ws, d)
+        assert np.all((ws.alpha >= 0.0) & (ws.alpha <= 1.0))
+        assert np.all(ws.alpha[~active] == 0.0)
+
+    @pytest.mark.parametrize("d", [[1e-310, 1e-310 + 5e-324], [1e-300, 1e-300 * (1 + 2**-52)]])
+    def test_subnormal_spread_gives_unit_interval_weights(self, d):
+        # M - m is subnormal, so 1/(M-m) overflows to inf
+        ws = update_weights(init_weights(2), np.array(d))
+        assert 0.0 < ws.M - ws.m < 2.3e-308
+        assert np.all((ws.alpha >= 0.0) & (ws.alpha <= 1.0))
+
     def test_max_weight_sits_at_min_distance(self):
         # value equality: several weights may tie at the clamp ceiling
         rng = np.random.default_rng(10)
@@ -134,6 +164,21 @@ class TestDetectNoise:
                 mates = (labels == labels[i]) & active
                 mates[i] = False
                 assert not np.any(d[mates] * d[i] > 0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(distances_and_mask(st.one_of(st.just(0.0), st.just(-0.0), FINITE)), st.data())
+    def test_flags_exactly_the_samples_without_a_same_side_classmate(self, case, data):
+        d, active = case
+        labels = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                             min_size=len(d), max_size=len(d))))
+        flagged = detect_noise(d, labels, active).tolist()
+        want = []
+        for i in np.flatnonzero(active):
+            mates = (labels == labels[i]) & active
+            mates[i] = False
+            if mates.any() and not np.any(np.sign(d[mates]) * np.sign(d[i]) > 0):
+                want.append(int(i))
+        assert flagged == want
 
     def test_zero_distance_counts_as_opposite(self):
         d = np.array([0.0, 0.5])
