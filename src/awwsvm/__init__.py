@@ -11,8 +11,7 @@ from .data import (Dataset, MinibatchSampler, ParseError, RowBatch, Sample,
                    imbalance_ratio, load_libsvm, minmax_scale, parse_libsvm, save_libsvm,
                    split, synth_two_gaussians, to_libsvm)
 from .metrics import ConfusionMatrix, EvalReport, confusion, confusion_from_predictions, report
-from .model import (DegenerateModelError, LinearModel, decide, decision_values,
-                    load_model, margin, predict, raw_score, save_model, signed_distance)
+from .model import LinearModel, decision_values, load_model, predict, save_model
 from .objective import ObjectiveConfig, WeightMode, loss, subgradient
 from .optimizers import (CURVATURE_FLOOR, QuasiNewtonState, ScheduleKind, StepSchedule,
                          bfgs_inverse_update, obfgs_step, onaq_step, sgd_step)

@@ -65,6 +65,9 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "out": (str, None),
 }
 
+# config keys whose value names a member of an enum
+ENUM_KEYS = {"optimizer": Optimizer, "weight_mode": WeightMode, "noise_mode": NoiseMode}
+
 # keys a manifest entry may carry; any other key is an error, as the sweep would ignore it
 METHOD_KEYS = (set(CONFIG_SCHEMA) - {"data", "test_data", "split", "seed", "out"}) | {"preset"}
 DATASET_KEYS = {"name", "path", "test_path", "split"}
@@ -119,34 +122,28 @@ def format_config(cfg: dict) -> str:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    try:
-        optimizer = Optimizer(cfg["optimizer"])
-    except ValueError:
-        raise CliError(f"unknown optimizer {cfg['optimizer']!r} "
-                       f"(choose from {[o.value for o in Optimizer]})") from None
-    try:
-        mode = WeightMode(cfg["weight_mode"])
-    except ValueError:
-        raise CliError(f"unknown weight mode {cfg['weight_mode']!r}") from None
-    try:
-        noise = NoiseMode(cfg["noise_mode"])
-    except ValueError:
-        raise CliError(f"unknown noise mode {cfg['noise_mode']!r}") from None
+    enums = {}
+    for key, enum in ENUM_KEYS.items():
+        try:
+            enums[key] = enum(cfg[key])
+        except ValueError:
+            raise CliError(f"unknown {key.replace('_', ' ')} {cfg[key]!r} "
+                           f"(choose from {[e.value for e in enum]})") from None
     try:
         return TrainConfig(
-            optimizer=optimizer,
+            optimizer=enums["optimizer"],
             adaptive=cfg["adaptive"],
             outer_iters=cfg["outer_iters"],
             inner_iters=cfg["inner_iters"],
             batch_size=cfg["batch_size"],
-            objective=ObjectiveConfig(C=cfg["c"], weight_mode=mode),
+            objective=ObjectiveConfig(C=cfg["c"], weight_mode=enums["weight_mode"]),
             sigma=cfg["sigma"],
             alpha0=cfg["alpha0"],
             tau=cfg["tau"],
             mu=cfg["mu"],
             damping=cfg["lambda"],
             eps_h=cfg["eps_h"],
-            noise_mode=noise,
+            noise_mode=enums["noise_mode"],
             seed=cfg["seed"],
         )
     except ValueError as exc:
@@ -184,8 +181,7 @@ def _print_report(rep, cm, verbose: bool) -> None:
 
 def cmd_train(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
-    flag_values = {k: getattr(args, k.replace("-", "_"), None) for k in CONFIG_SCHEMA}
-    flag_values["lambda"] = getattr(args, "lambda_", None)
+    flag_values = {k: getattr(args, k) for k in CONFIG_SCHEMA}
     cfg = resolve_config(file_values, flag_values)
     if not cfg["data"]:
         raise CliError("no dataset given: use --data or a config file")
@@ -367,23 +363,32 @@ def cmd_stats(args) -> int:
     if not path.exists():
         raise CliError(f"results file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    finals = [r for r in rows if r.get("outer_iter") == "final"]
+        reader = csv.DictReader(fh)
+        finals = [(reader.line_num, r) for r in reader if r.get("outer_iter") == "final"]
     if not finals:
         raise CliError("results contain no 'final' rows")
     metric = args.metric
     if metric not in METRIC_COLUMNS:
         raise CliError(f"unknown metric {metric!r}; choose from {METRIC_COLUMNS}")
+    missing = [c for c in ("dataset", "method", metric) if c not in reader.fieldnames]
+    if missing:
+        raise CliError(f"{path}: no {', '.join(map(repr, missing))} column")
 
     datasets, methods = [], []
     cells: dict[tuple[str, str], list[float]] = {}
-    for r in finals:
+    for n, r in finals:
         d, m = r["dataset"], r["method"]
         if d not in datasets:
             datasets.append(d)
         if m not in methods:
             methods.append(m)
-        cells.setdefault((d, m), []).append(float(r[metric]))
+        try:
+            v = float(r[metric])
+        except (TypeError, ValueError):
+            v = float("nan")
+        if not np.isfinite(v):
+            raise CliError(f"{path}:{n}: {metric} is not a finite number: {r[metric]!r}")
+        cells.setdefault((d, m), []).append(v)
     if len(methods) < 2 or len(datasets) < 2:
         raise CliError(f"need at least 2 methods and 2 datasets, "
                        f"got {len(methods)} and {len(datasets)}")
@@ -396,8 +401,11 @@ def cmd_stats(args) -> int:
 
     rt = rank_rows(values, higher_is_better=True)
     chi2, p = friedman(rt)
-    q = args.q if args.q is not None else nemenyi_q(len(methods), args.alpha)
-    cd = nemenyi_cd(len(methods), len(datasets), q)
+    try:
+        q = args.q if args.q is not None else nemenyi_q(len(methods), args.alpha)
+        cd = nemenyi_cd(len(methods), len(datasets), q)
+    except ValueError as exc:
+        raise CliError(f"{exc}; give a positive critical value with --q") from None
     sig = pairwise_significance(rt, cd)
 
     out = _out_dir(args.out, "awwsvm-stats")
@@ -455,27 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and evaluate it")
     p_train.add_argument("--config", help="key=value config file")
-    p_train.add_argument("--data")
-    p_train.add_argument("--test-data", dest="test_data")
-    p_train.add_argument("--split", type=float)
-    p_train.add_argument("--optimizer", choices=[o.value for o in Optimizer])
-    p_train.add_argument("--adaptive", action=argparse.BooleanOptionalAction, default=None)
-    p_train.add_argument("--weight-mode", dest="weight_mode",
-                         choices=[m.value for m in WeightMode])
-    p_train.add_argument("--noise-mode", dest="noise_mode",
-                         choices=[m.value for m in NoiseMode])
-    p_train.add_argument("--sigma", type=float)
-    p_train.add_argument("--c", type=float)
-    p_train.add_argument("--alpha0", type=float)
-    p_train.add_argument("--tau", type=float)
-    p_train.add_argument("--mu", type=float)
-    p_train.add_argument("--lambda", dest="lambda_", type=float)
-    p_train.add_argument("--eps-h", dest="eps_h", type=float)
-    p_train.add_argument("--outer-iters", dest="outer_iters", type=int)
-    p_train.add_argument("--inner-iters", dest="inner_iters", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--out")
+    for key, (parse, _) in CONFIG_SCHEMA.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "adaptive":
+            p_train.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
+        elif key in ENUM_KEYS:
+            p_train.add_argument(flag, dest=key, choices=[e.value for e in ENUM_KEYS[key]])
+        else:
+            p_train.add_argument(flag, dest=key, type=parse)
     p_train.add_argument("-v", "--verbose", action="store_true")
     p_train.set_defaults(func=cmd_train)
 

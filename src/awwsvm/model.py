@@ -1,9 +1,9 @@
-"""Linear decision hyperplane: predictions, margins, geometric distances.
+"""Linear decision hyperplane: scores, predictions and serialization.
 
 Training uses bias augmentation: a constant feature 1 is appended to every
 sample, so the bias is the last component of the augmented weight vector and
-is regularized with it. Geometric distances divide by the norm of the
-non-augmented part only.
+is regularized with it. A geometric distance is a decision value divided by
+the norm of the non-augmented part ``w`` only.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-
-from .data import Sample
-
-
-class DegenerateModelError(ValueError):
-    """A zero weight vector defines no hyperplane; distances are undefined."""
 
 
 @dataclass
@@ -41,43 +35,13 @@ class LinearModel:
         return np.concatenate([self.w, [self.b]])
 
 
-def sparse_dot(features: tuple[tuple[int, float], ...], w: np.ndarray) -> float:
-    """Dot product of a sparse sample with a dense vector.
-
-    Indices beyond len(w) are ignored (features unseen at training time).
-    """
-    d = len(w)
-    return float(sum(val * w[idx - 1] for idx, val in features if idx <= d))
-
-
-def raw_score(m: LinearModel, x: Sample) -> float:
-    return sparse_dot(x.features, m.w) + m.b
-
-
-def decide(m: LinearModel, x: Sample) -> int:
-    """Predicted label; a score of exactly 0 maps to +1."""
-    return 1 if raw_score(m, x) >= 0.0 else -1
-
-
-def signed_distance(m: LinearModel, x: Sample) -> float:
-    """(w.x + b) / ||w||; positive on the +1 side. Magnitude is the geometric
-    distance to the hyperplane."""
-    nrm = float(np.linalg.norm(m.w))
-    if nrm == 0.0:
-        raise DegenerateModelError("zero weight vector: distance undefined")
-    return raw_score(m, x) / nrm
-
-def margin(m: LinearModel, x: Sample, y: int) -> float:
-    """y.(w.x + b); below 1 the sample violates the soft margin."""
-    return y * raw_score(m, x)
-
-
 def decision_values(m: LinearModel, X) -> np.ndarray:
     """Scores w.x + b for a (n, dim) matrix, sparse or dense."""
     return np.asarray(X @ m.w).ravel() + m.b
 
 
 def predict(m: LinearModel, X) -> np.ndarray:
+    """Predicted labels in {-1, +1}; a score of exactly 0 maps to +1."""
     vals = decision_values(m, X)
     return np.where(vals >= 0.0, 1, -1)
 

@@ -29,7 +29,7 @@ class ObjectiveConfig:
     weight_mode: WeightMode = WeightMode.REGULARIZER
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
+        if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
 
 

@@ -45,8 +45,9 @@ class StepSchedule:
     tau: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.alpha0 < 0 or self.tau <= 0:
-            raise ValueError("alpha0 must be nonnegative and tau positive")
+        if not (self.alpha0 >= 0 and self.tau > 0):
+            raise ValueError(f"alpha0 must be nonnegative and tau positive, "
+                             f"got alpha0={self.alpha0}, tau={self.tau}")
 
     def rate(self, k: int) -> float:
         if k < 1:
@@ -99,7 +100,7 @@ def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
     H unchanged.
     """
     ys = float(y @ s)
-    if ys <= CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y):
+    if not _curvature_ok(s, y):
         raise ValueError(f"curvature y.s={ys} too small for a stable update")
     rho = 1.0 / ys
     u = H @ y

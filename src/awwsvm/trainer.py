@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, MinibatchSampler, RowBatch
 from .metrics import EvalReport, confusion_from_predictions, report
-from .model import LinearModel
+from .model import LinearModel, decision_values, predict
 from .objective import ObjectiveConfig, loss
 from .optimizers import (QuasiNewtonState, ScheduleKind, StepSchedule,
                          obfgs_step, onaq_step, sgd_step)
@@ -60,8 +60,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("outer_iters and inner_iters must be >= 1")
-        if self.sigma <= 0:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        if not 0.0 <= self.mu < 1.0:
+            raise ValueError(f"mu must lie in [0,1), got {self.mu}")
+        if not self.eps_h > 0:
+            raise ValueError(f"eps_h must be positive, got {self.eps_h}")
+        if not self.damping >= 0:
+            raise ValueError(f"lambda (damping) must be nonnegative, got {self.damping}")
+        self.schedule()  # alpha0 and tau
 
     @property
     def method_name(self) -> str:
@@ -112,9 +121,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
         raise TrainingError("training set must contain both classes")
     X = train_ds.to_matrix(augment=True)
     y = train_ds.labels()
-    # the non-augmented features, read only by the RAW_DOT noise rule
-    X_raw = train_ds.X if cfg.noise_mode is NoiseMode.RAW_DOT else None
-    X_eval = eval_ds.to_matrix(dim=train_ds.dim, augment=True)
+    X_eval = eval_ds.to_matrix(dim=train_ds.dim)
     y_eval = eval_ds.labels()
     n, d_aug = X.shape
 
@@ -147,11 +154,12 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
         if not np.isfinite(w).all():
             raise TrainingError(f"weights diverged to a non-finite value in outer round {outer}")
 
+        model = LinearModel.from_augmented(w, label_map=train_ds.label_map)
         if cfg.adaptive:
-            geo_norm = float(np.linalg.norm(w[:-1]))
+            geo_norm = float(np.linalg.norm(model.w))
             if geo_norm > 0.0:
-                dist = np.asarray(X @ w).ravel() / geo_norm
-                flagged = detect_noise(dist, y, ws.active, cfg.noise_mode, X=X_raw)
+                dist = decision_values(model, train_ds.X) / geo_norm
+                flagged = detect_noise(dist, y, ws.active, cfg.noise_mode, X=train_ds.X)
                 if flagged.size:
                     next_active = ws.active.copy()
                     next_active[flagged] = False
@@ -160,14 +168,12 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                             raise TrainingError(
                                 f"noise elimination removed every class {cls:+d} sample")
                     ws.active = next_active
-                    ws.alpha[flagged] = 0.0
                     active_idx = np.where(ws.active)[0]
                 update_weights(ws, dist)
             # a zero geometric norm leaves distances undefined; keep the
             # current weights and mask for this round
 
-        model = LinearModel.from_augmented(w, label_map=train_ds.label_map)
-        preds = np.where(np.asarray(X_eval @ w).ravel() >= 0.0, 1, -1)
+        preds = predict(model, X_eval)
         rep = report(confusion_from_predictions(y_eval, preds))
         a_act = ws.alpha[ws.active]
         history.records.append(HistoryRecord(
@@ -179,7 +185,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
             alpha_max=float(a_act.max()),
         ))
 
-    return LinearModel.from_augmented(w, label_map=train_ds.label_map), history
+    return model, history
 
 
 RESULTS_COLUMNS = ["dataset", "method", "seed", "outer_iter", "accuracy", "precision",

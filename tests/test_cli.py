@@ -140,6 +140,30 @@ class TestTrainCommand:
                 "keeps no d x d state\n")
             assert not (out / "model.txt").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["--optimizer", "onaq", "--mu", "1.5"], "mu must lie in [0,1), got 1.5"),
+        (["--optimizer", "obfgs", "--eps-h", "0"], "eps_h must be positive, got 0.0"),
+        (["--optimizer", "obfgs", "--lambda", "-1"],
+         "lambda (damping) must be nonnegative, got -1.0"),
+        (["--optimizer", "obfgs", "--alpha0", "-1"],
+         "alpha0 must be nonnegative and tau positive, got alpha0=-1.0, tau=10.0"),
+        (["--optimizer", "obfgs", "--tau", "0"],
+         "alpha0 must be nonnegative and tau positive, got alpha0=1.0, tau=0.0"),
+        # nan fails every range check; --lambda nan used to train with H frozen
+        (["--optimizer", "obfgs", "--lambda", "nan"],
+         "lambda (damping) must be nonnegative, got nan"),
+        (["--sigma", "nan"], "sigma must be positive"),
+        (["--c", "nan"], "C must be positive, got nan"),
+    ])
+    def test_invalid_hyperparameter_is_usage_error(self, synth_file, tmp_path, capsys,
+                                                   flags, message):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(synth_file), *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -281,6 +305,10 @@ class TestExperimentCommand:
         ({"methods": [{"outer_iters": 0}]}, 'methods[0] {"outer_iters": 0}',
          "outer_iters and inner_iters must be >= 1"),
         ({"train": {"sigma": 0}}, 'train {"sigma": 0}', "sigma must be positive"),
+        ({"methods": [{"optimizer": "onaq", "mu": 1.5}]},
+         'methods[0] {"mu": 1.5, "optimizer": "onaq"}', "mu must lie in [0,1), got 1.5"),
+        ({"methods": [{"batch_size": 0}]}, 'methods[0] {"batch_size": 0}',
+         "batch_size must be >= 1, got 0"),
     ])
     def test_invalid_manifest_value_names_entry(self, two_files, tmp_path, capsys,
                                                 patch, where, message):
@@ -400,6 +428,38 @@ class TestStatsCommand:
     def test_unknown_metric_rejected(self, results_csv, capsys):
         rc = main(["stats", "--results", str(results_csv), "--metric", "speed"])
         assert rc == 2
+
+    @staticmethod
+    def _eleven_methods(lines):
+        return lines[:1] + [f"d{i},m{j},0,final,{(i + j) % 5 / 10},0,0,0,0,0,0,0"
+                            for i in range(2) for j in range(11)]
+
+    @pytest.mark.parametrize("edit, flags, message", [
+        (None, ["--alpha", "0.1"], "built-in critical values cover alpha = 0.05 only; "
+         "give a positive critical value with --q"),
+        (None, ["--q", "0"], "need K >= 2, N >= 1 and q_alpha > 0, got K=3, N=3, q_alpha=0.0"),
+        (None, ["--q", "-1"], "got K=3, N=3, q_alpha=-1.0"),
+        (_eleven_methods, [], "no critical value for K=11; supported K: 2..10"),
+        (lambda ls: ls[:2] + [ls[2].replace("0.860000", "nan")] + ls[3:], [],
+         "results.csv:3: accuracy is not a finite number: 'nan'"),
+        (lambda ls: ls[:4] + [ls[4].replace("0.700000", "high")] + ls[5:], [],
+         "results.csv:5: accuracy is not a finite number: 'high'"),
+        (lambda ls: [l.replace("accuracy", "acc") for l in ls[:1]] + ls[1:], [],
+         "results.csv: no 'accuracy' column"),
+        (lambda ls: [l.replace(",method,", ",meth,") for l in ls[:1]] + ls[1:], [],
+         "results.csv: no 'method' column"),
+    ], ids=["alpha-without-q", "q-zero", "q-negative", "eleven-methods", "nan-cell",
+            "text-cell", "no-metric-column", "no-method-column"])
+    def test_bad_input_is_usage_error(self, results_csv, tmp_path, capsys, edit, flags, message):
+        if edit is not None:
+            lines = results_csv.read_text().splitlines()
+            results_csv.write_text("\n".join(edit(lines)) + "\n")
+        out = tmp_path / "stats"
+        rc = main(["stats", "--results", str(results_csv), *flags, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestOutputDirFallback:

@@ -2,91 +2,97 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
-from awwsvm.data import Sample
-from awwsvm.model import (DegenerateModelError, LinearModel, decide, load_model,
-                          margin, raw_score, save_model, signed_distance, sparse_dot)
-
-
-def _sample(values, label=1):
-    return Sample(features=tuple((i + 1, float(v)) for i, v in enumerate(values) if v != 0.0),
-                  label=label)
+from awwsvm.data import Dataset
+from awwsvm.model import LinearModel, decision_values, load_model, predict, save_model
 
 
-class TestDecide:
+def _dataset(rows, dim=None):
+    """A Dataset from dense rows (zeros are not stored); labels are all +1."""
+    X = sparse.csr_matrix(np.asarray(rows, dtype=np.float64))
+    if dim is not None:
+        X = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=(X.shape[0], dim))
+    return Dataset(X, np.ones(X.shape[0], dtype=np.int64))
+
+
+class TestPredict:
     def test_positive_side(self):
         m = LinearModel(w=np.array([3.0, 4.0]), b=0.0)
-        assert decide(m, _sample([1.0, 1.0])) == 1
+        assert predict(m, np.array([[1.0, 1.0]])).tolist() == [1]
 
     def test_negative_side(self):
         m = LinearModel(w=np.array([1.0, 0.0]), b=-2.0)
-        assert decide(m, _sample([1.0, 0.0])) == -1
+        assert predict(m, np.array([[1.0, 0.0]])).tolist() == [-1]
 
-    def test_boundary_maps_to_positive(self):
+    def test_score_of_exactly_zero_maps_to_positive(self):
         m = LinearModel(w=np.array([1.0, 0.0]), b=-1.0)
-        assert decide(m, _sample([1.0, 0.0])) == 1
+        X = sparse.csr_matrix([[1.0, 0.0], [0.0, 5.0], [1.0, 3.0], [0.5, 0.0]])
+        np.testing.assert_array_equal(decision_values(m, X), [0.0, -1.0, 0.0, -0.5])
+        assert predict(m, X).tolist() == [1, -1, 1, -1]
 
-    def test_agrees_with_distance_sign(self):
+    def test_agrees_with_decision_value_sign(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             m = LinearModel(w=rng.normal(size=4), b=float(rng.normal()))
-            x = _sample(rng.normal(size=4))
-            assert (decide(m, x) == 1) == (signed_distance(m, x) >= 0)
+            X = rng.normal(size=(6, 4))
+            np.testing.assert_array_equal(predict(m, X) == 1, decision_values(m, X) >= 0)
 
 
-class TestSignedDistance:
-    def test_hand_value(self):
+class TestDecisionValues:
+    def test_includes_bias(self):
+        m = LinearModel(w=np.array([1.0]), b=0.5)
+        assert decision_values(m, sparse.csr_matrix([[2.0]])).tolist() == [2.5]
+
+    def test_distance_hand_value(self):
         m = LinearModel(w=np.array([3.0, 4.0]), b=0.0)
-        assert signed_distance(m, _sample([1.0, 1.0])) == pytest.approx(1.4)
+        dist = decision_values(m, np.array([[1.0, 1.0]])) / np.linalg.norm(m.w)
+        assert dist[0] == pytest.approx(1.4)
 
-    def test_on_hyperplane(self):
-        m = LinearModel(w=np.array([1.0, 1.0]), b=-2.0)
-        assert signed_distance(m, _sample([1.0, 1.0])) == 0.0
+    def test_features_beyond_model_dim_are_dropped(self):
+        m = LinearModel(w=np.array([1.0, 2.0]), b=0.0)
+        ds = _dataset([[1.0, 1.0, 0, 0, 0, 0, 100.0]])
+        assert decision_values(m, ds.to_matrix(dim=m.dim)).tolist() == [3.0]
 
     def test_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            w = rng.normal(size=3)
-            b = float(rng.normal())
+            w, b = rng.normal(size=3), float(rng.normal())
             c = float(rng.uniform(0.1, 10.0))
-            x = _sample(rng.normal(size=3))
-            d1 = signed_distance(LinearModel(w=w, b=b), x)
-            d2 = signed_distance(LinearModel(w=c * w, b=c * b), x)
-            assert d2 == pytest.approx(d1, rel=1e-12)
-            assert decide(LinearModel(w=w, b=b), x) == decide(LinearModel(w=c * w, b=c * b), x)
-
-    def test_zero_weight_vector_is_error(self):
-        m = LinearModel(w=np.zeros(2), b=1.0)
-        with pytest.raises(DegenerateModelError):
-            signed_distance(m, _sample([1.0, 1.0]))
+            X = sparse.csr_matrix(rng.normal(size=(5, 3)))
+            m1, m2 = LinearModel(w=w, b=b), LinearModel(w=c * w, b=c * b)
+            d1 = decision_values(m1, X) / np.linalg.norm(m1.w)
+            d2 = decision_values(m2, X) / np.linalg.norm(m2.w)
+            np.testing.assert_allclose(d2, d1, rtol=1e-12)
+            np.testing.assert_array_equal(predict(m2, X), predict(m1, X))
 
 
-class TestMargin:
-    def test_hand_value(self):
-        m = LinearModel(w=np.array([1.0, 0.0]), b=0.0)
-        assert margin(m, _sample([2.0, 0.0]), 1) == pytest.approx(2.0)
+@st.composite
+def datasets_and_weights(draw):
+    """(Dataset, k, w): a CSR dataset with empty and full rows and values over
+    16 decades, an evaluation dimension k below, at or above its own, and an
+    augmented weight vector of length k + 1."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(0, 12))
+    k = draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, d)) < rng.choice([0.0, 0.3, 1.0], size=(n, 1))
+    vals = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    X = sparse.csr_matrix(np.where(mask, vals, 0.0), shape=(n, d))
+    w = rng.normal(size=k + 1) * 10.0 ** rng.integers(-8, 9, size=k + 1)
+    return Dataset(X, np.ones(n, dtype=np.int64)), k, w
 
-    def test_antisymmetric_in_label(self):
-        rng = np.random.default_rng(2)
-        for _ in range(30):
-            m = LinearModel(w=rng.normal(size=3), b=float(rng.normal()))
-            x = _sample(rng.normal(size=3))
-            assert margin(m, x, 1) == pytest.approx(-margin(m, x, -1))
 
-    def test_zero_model(self):
-        m = LinearModel(w=np.zeros(2), b=0.0)
-        assert margin(m, _sample([5.0, -3.0]), 1) == 0.0
-
-
-class TestSparseDot:
-    def test_skips_unseen_indices(self):
-        w = np.array([1.0, 2.0])
-        feats = ((1, 1.0), (2, 1.0), (7, 100.0))
-        assert sparse_dot(feats, w) == 3.0
-
-    def test_raw_score_includes_bias(self):
-        m = LinearModel(w=np.array([1.0]), b=0.5)
-        assert raw_score(m, _sample([2.0])) == 2.5
+class TestMatrixPathProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(datasets_and_weights())
+    def test_scores_equal_augmented_product_bitwise(self, case):
+        ds, k, w = case
+        got = decision_values(LinearModel.from_augmented(w), ds.to_matrix(dim=k))
+        want = ds.to_matrix(dim=k, augment=True) @ w
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSerialization:

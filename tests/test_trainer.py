@@ -111,6 +111,18 @@ class TestTrainLoop:
         last = history.records[-1]
         assert last.alpha_max > last.alpha_min
 
+    @pytest.mark.parametrize("opt", list(Optimizer), ids=lambda o: o.value)
+    def test_zero_geometric_norm_keeps_weights_and_mask(self, synth_pair, opt):
+        # alpha0 = 0 never moves w off 0, so no round has a distance to use
+        train_ds, eval_ds = synth_pair
+        cfg = TrainConfig(optimizer=opt, adaptive=True, alpha0=0.0, outer_iters=3, seed=2)
+        model, history = train(train_ds, eval_ds, cfg)
+        assert not model.w.any() and model.b == 0.0
+        uniform = 2.0 / len(train_ds)
+        for rec in history.records:
+            assert rec.n_noise == 0
+            assert rec.alpha_min == rec.alpha_mean == rec.alpha_max == uniform
+
     def test_single_class_training_set_rejected(self):
         samples = [Sample(features=((1, float(i)),), label=1) for i in range(6)]
         ds = Dataset.from_samples(samples)
