@@ -200,16 +200,15 @@ def cmd_train(args) -> int:
     (out / "resolved.cfg").write_text(format_config(cfg), encoding="utf-8")
 
     try:
-        model, history = train(train_ds, eval_ds, train_cfg)
+        model, rounds = train(train_ds, eval_ds, train_cfg)
     except TrainingError as exc:
         raise CliError(f"training aborted: {exc}") from None
 
     save_model(model, str(out / "model.txt"))
-    rows = history_rows(Path(cfg["data"]).stem, train_cfg, history)
+    rows = history_rows(Path(cfg["data"]).stem, train_cfg, rounds)
     (out / "history.csv").write_text(to_csv(rows, RESULTS_COLUMNS), encoding="utf-8")
     if args.verbose:
-        weights = [dict(vars(r), outer_iter=i) for i, r in enumerate(history.records, start=1)]
-        (out / "weights.csv").write_text(to_csv(weights, WEIGHTS_COLUMNS), encoding="utf-8")
+        (out / "weights.csv").write_text(to_csv(rounds, WEIGHTS_COLUMNS), encoding="utf-8")
 
     cm = confusion(model, eval_ds)
     _print_report(report(cm), cm, args.verbose)
@@ -218,17 +217,9 @@ def cmd_train(args) -> int:
 
 
 def _coerce(key: str, value):
-    """Cast a JSON manifest value to the schema type for ``key``."""
-    parse = CONFIG_SCHEMA[key][0]
-    if isinstance(value, str):
-        return parse(value)
-    if parse is _parse_bool:
-        return bool(value)
-    if parse is int:
-        return int(value)
-    if parse is float:
-        return float(value)
-    return value
+    """Cast a JSON manifest value with the parser ``key`` has for flags and
+    config files; a non-string value is parsed from its JSON text."""
+    return CONFIG_SCHEMA[key][0](value if isinstance(value, str) else json.dumps(value))
 
 
 def _check_keys(entry, allowed: set[str], where: str) -> None:
@@ -248,7 +239,7 @@ def _coerce_entry(entry: dict, where: str) -> dict:
     for key, value in entry.items():
         try:
             coerced[key] = _coerce(key, value) if key in CONFIG_SCHEMA else value
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"{where} {json.dumps(entry, sort_keys=True)}: "
                            f"bad value for {key!r}: {exc}") from None
     return coerced
@@ -275,11 +266,11 @@ def cmd_experiment(args) -> int:
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.manifest}: invalid JSON: {exc}") from None
     _check_keys(manifest, MANIFEST_KEYS, args.manifest)
-    seeds = manifest.get("seeds", [0])
-    try:
-        seeds = [_coerce("seed", seed) for seed in seeds]
+    raw_seeds = manifest.get("seeds", [0])
+    try:  # TrainConfig rejects a negative seed
+        seeds = [TrainConfig(seed=_coerce("seed", seed)).seed for seed in raw_seeds]
     except (TypeError, ValueError) as exc:
-        raise CliError(f"seeds {json.dumps(seeds)}: {exc}") from None
+        raise CliError(f"seeds {json.dumps(raw_seeds)}: {exc}") from None
     raw_shared = manifest.get("train", {})
     _check_keys(raw_shared, METHOD_KEYS, "train")
     shared = _coerce_entry(raw_shared, "train")

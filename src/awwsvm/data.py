@@ -329,6 +329,8 @@ def synth_two_gaussians(n_pos: int, n_neg: int, separation: float,
         raise ValueError("class counts must be positive")
     if not 0.0 <= flip_fraction < 0.5:
         raise ValueError(f"flip_fraction must be in [0, 0.5), got {flip_fraction}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = n_pos + n_neg
     centers = np.where(np.arange(n) < n_pos, separation / 2.0, -separation / 2.0)

@@ -31,6 +31,8 @@ class ObjectiveConfig:
     def __post_init__(self) -> None:
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
+        if np.isinf(self.C):
+            raise ValueError(f"C must be finite, got {self.C}")
 
 
 def _margins(w: np.ndarray, X, y: np.ndarray) -> np.ndarray:

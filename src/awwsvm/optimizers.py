@@ -48,6 +48,9 @@ class StepSchedule:
         if not (self.alpha0 >= 0 and self.tau > 0):
             raise ValueError(f"alpha0 must be nonnegative and tau positive, "
                              f"got alpha0={self.alpha0}, tau={self.tau}")
+        for key, v in (("alpha0", self.alpha0), ("tau", self.tau)):
+            if math.isinf(v):
+                raise ValueError(f"{key} must be finite, got {v}")
 
     def rate(self, k: int) -> float:
         if k < 1:

@@ -21,7 +21,7 @@ import io
 import numpy as np
 
 from .data import Dataset, MinibatchSampler, RowBatch
-from .metrics import EvalReport, confusion_from_predictions, report
+from .metrics import confusion_from_predictions, report
 from .model import LinearModel, decision_values, predict
 from .objective import ObjectiveConfig, loss
 from .optimizers import (QuasiNewtonState, ScheduleKind, StepSchedule,
@@ -70,6 +70,12 @@ class TrainConfig:
             raise ValueError(f"eps_h must be positive, got {self.eps_h}")
         if not self.damping >= 0:
             raise ValueError(f"lambda (damping) must be nonnegative, got {self.damping}")
+        for key, v in (("sigma", self.sigma), ("eps_h", self.eps_h),
+                       ("lambda (damping)", self.damping)):
+            if np.isinf(v):
+                raise ValueError(f"{key} must be finite, got {v}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.schedule()  # alpha0 and tau
 
     @property
@@ -85,38 +91,16 @@ class TrainConfig:
         return StepSchedule(ScheduleKind.SQRT_DECAY, alpha0=self.alpha0)
 
 
-@dataclass(frozen=True)
-class HistoryRecord:
-    test_report: EvalReport
-    train_loss: float
-    n_noise: int
-    alpha_min: float
-    alpha_mean: float
-    alpha_max: float
-
-    @property
-    def test_accuracy(self) -> float:
-        return self.test_report.accuracy
+RESULTS_COLUMNS = ["dataset", "method", "seed", "outer_iter", "accuracy", "precision",
+                   "recall", "specificity", "f1", "gmean", "train_loss", "n_noise"]
+METRIC_COLUMNS = ["accuracy", "precision", "recall", "specificity", "f1", "gmean"]
+SUMMARY_COLUMNS = ["dataset", "method", "n_seeds", *METRIC_COLUMNS]
 
 
-@dataclass
-class TrainHistory:
-    records: list[HistoryRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def test_accuracy(self) -> list[float]:
-        return [r.test_accuracy for r in self.records]
-
-    @property
-    def train_loss(self) -> list[float]:
-        return [r.train_loss for r in self.records]
-
-
-def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[LinearModel, TrainHistory]:
-    """Run the full training loop; deterministic under ``cfg.seed``."""
+def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[LinearModel, list[dict]]:
+    """Run the full training loop; deterministic under ``cfg.seed``. Returns the
+    final model and one row per outer round: ``outer_iter``, ``METRIC_COLUMNS`` on
+    ``eval_ds``, ``train_loss``, ``n_noise`` and the active ``alpha_{min,mean,max}``."""
     if train_ds.n_pos == 0 or train_ds.n_neg == 0:
         raise TrainingError("training set must contain both classes")
     X = train_ds.to_matrix(augment=True)
@@ -138,7 +122,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                                 "the sgd optimizer keeps no d x d state") from exc
     sgd_k = 1
 
-    history = TrainHistory()
+    rounds = []
     active_idx = np.where(ws.active)[0]
     for outer in range(1, cfg.outer_iters + 1):
         for _ in range(cfg.inner_iters):
@@ -173,25 +157,19 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
             # a zero geometric norm leaves distances undefined; keep the
             # current weights and mask for this round
 
-        preds = predict(model, X_eval)
-        rep = report(confusion_from_predictions(y_eval, preds))
+        rep = report(confusion_from_predictions(y_eval, predict(model, X_eval)))
         a_act = ws.alpha[ws.active]
-        history.records.append(HistoryRecord(
-            test_report=rep,
-            train_loss=loss(w, X[active_idx], y[active_idx], ws.alpha[active_idx], cfg.objective),
-            n_noise=int(np.sum(~ws.active)),
-            alpha_min=float(a_act.min()),
-            alpha_mean=float(a_act.mean()),
-            alpha_max=float(a_act.max()),
-        ))
+        rounds.append({
+            "outer_iter": outer,
+            **{col: getattr(rep, col) for col in METRIC_COLUMNS},
+            "train_loss": loss(w, X[active_idx], y[active_idx], ws.alpha[active_idx], cfg.objective),
+            "n_noise": int(np.sum(~ws.active)),
+            "alpha_min": float(a_act.min()),
+            "alpha_mean": float(a_act.mean()),
+            "alpha_max": float(a_act.max()),
+        })
 
-    return model, history
-
-
-RESULTS_COLUMNS = ["dataset", "method", "seed", "outer_iter", "accuracy", "precision",
-                   "recall", "specificity", "f1", "gmean", "train_loss", "n_noise"]
-METRIC_COLUMNS = ["accuracy", "precision", "recall", "specificity", "f1", "gmean"]
-SUMMARY_COLUMNS = ["dataset", "method", "n_seeds", *METRIC_COLUMNS]
+    return model, rounds
 
 
 def to_csv(rows: list[dict], columns: list[str]) -> str:
@@ -242,23 +220,16 @@ class ExperimentResults:
         return out
 
 
-def history_rows(name: str, cfg: TrainConfig, history: TrainHistory) -> list[dict]:
-    """One ``RESULTS_COLUMNS`` row per outer round of a run of ``cfg``."""
-    rows = []
-    for i, rec in enumerate(history.records, start=1):
-        rep = rec.test_report
-        row = {"dataset": name, "method": cfg.method_name, "seed": cfg.seed, "outer_iter": i,
-               "train_loss": rec.train_loss, "n_noise": rec.n_noise}
-        row.update((col, getattr(rep, col)) for col in METRIC_COLUMNS)
-        rows.append(row)
-    return rows
+def history_rows(name: str, cfg: TrainConfig, rounds: list[dict]) -> list[dict]:
+    """The round rows of a run of ``cfg`` stamped with dataset, method and seed."""
+    return [{"dataset": name, "method": cfg.method_name, "seed": cfg.seed, **r} for r in rounds]
 
 
 def run_cell(name: str, train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig, seed: int) -> list[dict]:
     """All result rows (per-iteration plus final) for one sweep cell."""
     cell_cfg = replace(cfg, seed=seed)
-    _, history = train(train_ds, eval_ds, cell_cfg)
-    rows = history_rows(name, cell_cfg, history)
+    _, rounds = train(train_ds, eval_ds, cell_cfg)
+    rows = history_rows(name, cell_cfg, rounds)
     return rows + [{**rows[-1], "outer_iter": "final"}]
 
 

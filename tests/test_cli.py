@@ -38,6 +38,13 @@ class TestSynthCommand:
         assert rc == 2
         assert "flip" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.libsvm"
+        rc = main(["synth", "--n-pos", "10", "--n-neg", "10", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_same_seed_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.libsvm", tmp_path / "b.libsvm"
         for path in (a, b):
@@ -155,6 +162,15 @@ class TestTrainCommand:
          "lambda (damping) must be nonnegative, got nan"),
         (["--sigma", "nan"], "sigma must be positive"),
         (["--c", "nan"], "C must be positive, got nan"),
+        # inf passes the range checks; --lambda inf would freeze H and --sigma inf
+        # zero the Gaussian term, the rest diverge without naming the key
+        (["--optimizer", "obfgs", "--lambda", "inf"], "lambda (damping) must be finite, got inf"),
+        (["--adaptive", "--sigma", "inf"], "sigma must be finite, got inf"),
+        (["--c", "inf"], "C must be finite, got inf"),
+        (["--alpha0", "inf"], "alpha0 must be finite, got inf"),
+        (["--optimizer", "obfgs", "--eps-h", "inf"], "eps_h must be finite, got inf"),
+        (["--optimizer", "obfgs", "--tau", "inf"], "tau must be finite, got inf"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_invalid_hyperparameter_is_usage_error(self, synth_file, tmp_path, capsys,
                                                    flags, message):
@@ -162,6 +178,14 @@ class TestTrainCommand:
         rc = main(["train", "--data", str(synth_file), *flags, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_seed_with_test_data_is_usage_error(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(synth_file), "--test-data", str(synth_file),
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, synth_file, tmp_path, capsys):
@@ -282,7 +306,14 @@ class TestExperimentCommand:
         ("methods", {"adaptive": "maybe"}, "adaptive", "not a boolean: 'maybe'"),
         ("train", {"outer_iters": "ten"}, "outer_iters", "invalid literal for int()"),
         ("datasets", {"split": "abc"}, "split", "could not convert string to float"),
-        ("datasets", {"split": None}, "split", "must be a string or a real number"),
+        ("datasets", {"split": None}, "split", "could not convert string to float: 'null'"),
+        # a non-string value is parsed from its JSON text, as a flag would be,
+        # so it is neither truncated nor cast by truthiness
+        ("train", {"outer_iters": 2.7}, "outer_iters",
+         "invalid literal for int() with base 10: '2.7'"),
+        ("train", {"outer_iters": True}, "outer_iters",
+         "invalid literal for int() with base 10: 'true'"),
+        ("methods", {"adaptive": 5}, "adaptive", "not a boolean: '5'"),
     ])
     def test_bad_manifest_value_is_usage_error(self, two_files, tmp_path, capsys,
                                                section, entry, key, message):
@@ -309,6 +340,8 @@ class TestExperimentCommand:
          'methods[0] {"mu": 1.5, "optimizer": "onaq"}', "mu must lie in [0,1), got 1.5"),
         ({"methods": [{"batch_size": 0}]}, 'methods[0] {"batch_size": 0}',
          "batch_size must be >= 1, got 0"),
+        # 1e999 and Infinity parse as inf, which passes the range check
+        ({"methods": [{"c": 1e999}]}, 'methods[0] {"c": Infinity}', "C must be finite, got inf"),
     ])
     def test_invalid_manifest_value_names_entry(self, two_files, tmp_path, capsys,
                                                 patch, where, message):
@@ -321,7 +354,7 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("seeds", [["x"], 3])
+    @pytest.mark.parametrize("seeds", [["x"], 3, [1.9]])
     def test_bad_seeds_are_usage_error(self, two_files, tmp_path, capsys, seeds):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"datasets": [{"path": str(two_files[0])}],
@@ -329,6 +362,14 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(path), "--out", str(tmp_path / "exp")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: seeds {json.dumps(seeds)}: ")
+
+    def test_negative_seed_is_usage_error(self, two_files, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], [{}], seeds=[0, -1])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seeds [0, -1]: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_bad_split_is_usage_error(self, two_files, tmp_path, capsys):
         entry = {"path": str(two_files[0]), "split": 2}

@@ -6,8 +6,9 @@ import pytest
 from awwsvm.data import Dataset, MinibatchSampler, Sample, synth_two_gaussians
 from awwsvm.objective import ObjectiveConfig, WeightMode
 from awwsvm.optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
-from awwsvm.trainer import (Optimizer, RESULTS_COLUMNS, TrainConfig, TrainingError,
-                            run_experiment, train)
+from awwsvm.cli import WEIGHTS_COLUMNS
+from awwsvm.trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, TrainConfig,
+                            TrainingError, run_experiment, train)
 from awwsvm.weighting import detect_noise, init_weights
 
 
@@ -65,30 +66,40 @@ class TestBaselineEquivalence:
 class TestTrainLoop:
     def test_history_length_matches_outer_iters(self, synth_pair):
         train_ds, eval_ds = synth_pair
-        model, history = train(train_ds, eval_ds, small_config(outer_iters=1))
-        assert len(history) == 1
-        model, history = train(train_ds, eval_ds, small_config(outer_iters=5))
-        assert len(history) == 5
+        model, rounds = train(train_ds, eval_ds, small_config(outer_iters=1))
+        assert len(rounds) == 1
+        model, rounds = train(train_ds, eval_ds, small_config(outer_iters=5))
+        assert len(rounds) == 5
+
+    def test_round_rows_hold_every_output_column(self, synth_pair):
+        train_ds, eval_ds = synth_pair
+        _, rounds = train(train_ds, eval_ds, small_config(adaptive=True))
+        keys = ["outer_iter", *METRIC_COLUMNS, "train_loss", "n_noise",
+                "alpha_min", "alpha_mean", "alpha_max"]
+        assert [list(r) for r in rounds] == [keys] * len(rounds)
+        assert [r["outer_iter"] for r in rounds] == list(range(1, len(rounds) + 1))
+        selected = set(RESULTS_COLUMNS) - {"dataset", "method", "seed"} | set(WEIGHTS_COLUMNS)
+        assert selected <= set(keys)
 
     def test_non_adaptive_weights_never_move(self, synth_pair):
         train_ds, eval_ds = synth_pair
-        _, history = train(train_ds, eval_ds, small_config())
+        _, rounds = train(train_ds, eval_ds, small_config())
         uniform = 2.0 / len(train_ds)
-        for rec in history.records:
-            assert rec.n_noise == 0
-            assert rec.alpha_min == rec.alpha_max == pytest.approx(uniform)
+        for r in rounds:
+            assert r["n_noise"] == 0
+            assert r["alpha_min"] == r["alpha_max"] == pytest.approx(uniform)
 
     def test_accuracies_in_unit_interval(self, synth_pair):
         train_ds, eval_ds = synth_pair
         for opt in Optimizer:
-            _, history = train(train_ds, eval_ds, small_config(optimizer=opt, adaptive=True))
-            assert all(0.0 <= a <= 1.0 for a in history.test_accuracy)
+            _, rounds = train(train_ds, eval_ds, small_config(optimizer=opt, adaptive=True))
+            assert all(0.0 <= r["accuracy"] <= 1.0 for r in rounds)
 
     def test_active_count_nonincreasing(self):
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
         eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=101)
-        _, history = train(train_ds, eval_ds, TrainConfig(adaptive=True, seed=0))
-        noise = [r.n_noise for r in history.records]
+        _, rounds = train(train_ds, eval_ds, TrainConfig(adaptive=True, seed=0))
+        noise = [r["n_noise"] for r in rounds]
         assert all(a <= b for a, b in zip(noise, noise[1:]))
 
     def test_flipped_sample_flagged_early_under_default_config(self):
@@ -96,32 +107,32 @@ class TestTrainLoop:
         # wrong side, so it is eliminated within the first few rounds
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
         eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=101)
-        _, history = train(train_ds, eval_ds, TrainConfig(seed=0))
-        assert history.records[2].n_noise >= 1
+        _, rounds = train(train_ds, eval_ds, TrainConfig(seed=0))
+        assert rounds[2]["n_noise"] >= 1
 
     def test_clean_separable_data_never_eliminates(self):
         train_ds = synth_two_gaussians(20, 20, 12.0, 0.0, seed=5)
         eval_ds = synth_two_gaussians(20, 20, 12.0, 0.0, seed=6)
-        _, history = train(train_ds, eval_ds, TrainConfig(adaptive=True, seed=1))
-        assert all(r.n_noise == 0 for r in history.records)
+        _, rounds = train(train_ds, eval_ds, TrainConfig(adaptive=True, seed=1))
+        assert all(r["n_noise"] == 0 for r in rounds)
 
     def test_adaptive_weights_spread_out(self, synth_pair):
         train_ds, eval_ds = synth_pair
-        _, history = train(train_ds, eval_ds, small_config(adaptive=True, outer_iters=4))
-        last = history.records[-1]
-        assert last.alpha_max > last.alpha_min
+        _, rounds = train(train_ds, eval_ds, small_config(adaptive=True, outer_iters=4))
+        last = rounds[-1]
+        assert last["alpha_max"] > last["alpha_min"]
 
     @pytest.mark.parametrize("opt", list(Optimizer), ids=lambda o: o.value)
     def test_zero_geometric_norm_keeps_weights_and_mask(self, synth_pair, opt):
         # alpha0 = 0 never moves w off 0, so no round has a distance to use
         train_ds, eval_ds = synth_pair
         cfg = TrainConfig(optimizer=opt, adaptive=True, alpha0=0.0, outer_iters=3, seed=2)
-        model, history = train(train_ds, eval_ds, cfg)
+        model, rounds = train(train_ds, eval_ds, cfg)
         assert not model.w.any() and model.b == 0.0
         uniform = 2.0 / len(train_ds)
-        for rec in history.records:
-            assert rec.n_noise == 0
-            assert rec.alpha_min == rec.alpha_mean == rec.alpha_max == uniform
+        for r in rounds:
+            assert r["n_noise"] == 0
+            assert r["alpha_min"] == r["alpha_mean"] == r["alpha_max"] == uniform
 
     def test_single_class_training_set_rejected(self):
         samples = [Sample(features=((1, float(i)),), label=1) for i in range(6)]
@@ -170,16 +181,16 @@ class TestTrainLoop:
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
         eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=101)
         cfg = TrainConfig(adaptive=True, seed=0, noise_mode=NoiseMode.RAW_DOT)
-        _, history = train(train_ds, eval_ds, cfg)
-        assert len(history) == cfg.outer_iters
+        _, rounds = train(train_ds, eval_ds, cfg)
+        assert len(rounds) == cfg.outer_iters
 
     def test_deterministic_under_seed(self, synth_pair):
         train_ds, eval_ds = synth_pair
         cfg = small_config(adaptive=True)
-        m1, h1 = train(train_ds, eval_ds, cfg)
-        m2, h2 = train(train_ds, eval_ds, cfg)
+        m1, r1 = train(train_ds, eval_ds, cfg)
+        m2, r2 = train(train_ds, eval_ds, cfg)
         np.testing.assert_array_equal(m1.augmented(), m2.augmented())
-        assert h1.test_accuracy == h2.test_accuracy
+        assert [r["accuracy"] for r in r1] == [r["accuracy"] for r in r2]
 
 
 def _sweep(datasets, methods, seeds, jobs=1):
