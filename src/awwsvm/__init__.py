@@ -17,8 +17,8 @@ from .optimizers import (CURVATURE_FLOOR, QuasiNewtonState, ScheduleKind, StepSc
                          bfgs_inverse_update, obfgs_step, onaq_step, sgd_step)
 from .stats import (NEMENYI_Q_05, RankTable, chi2_sf, friedman, nemenyi_cd, nemenyi_q,
                     pairwise_significance, rank_rows)
-from .trainer import (ExperimentResults, Optimizer, RESULTS_COLUMNS, TrainConfig,
-                      TrainingError, run_experiment, train)
+from .trainer import (Optimizer, RESULTS_COLUMNS, TrainConfig, TrainingError, run_experiment,
+                      summary, train)
 from .weighting import (NoiseMode, WeightState, aw_raw, aw_value, detect_noise,
                         init_weights, update_weights)
 

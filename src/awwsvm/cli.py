@@ -24,7 +24,7 @@ from .model import save_model
 from .objective import ObjectiveConfig, WeightMode
 from .stats import friedman, nemenyi_cd, nemenyi_q, pairwise_significance, rank_rows
 from .trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, SUMMARY_COLUMNS, TrainConfig,
-                      TrainingError, history_rows, run_experiment, to_csv, train)
+                      TrainingError, history_rows, run_experiment, summary, to_csv, train)
 from .presets import PRESETS, preset_config
 from .weighting import NoiseMode
 
@@ -166,6 +166,14 @@ def _load_dataset(path: str):
         raise CliError(f"{path}: {exc}") from None
 
 
+def _dataset_name(name, where: str) -> str:
+    """``name`` if it can stand unquoted in a CSV cell, else a usage error."""
+    if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
+        raise CliError(f"{where}: dataset name {name!r} must be a string without a comma, "
+                       "a double quote or a line break")
+    return name
+
+
 def _print_report(rep, cm, verbose: bool) -> None:
     print("final evaluation:")
     for name in ("accuracy", "precision", "recall", "specificity", "sensitivity", "f1", "gmean"):
@@ -185,6 +193,7 @@ def cmd_train(args) -> int:
     cfg = resolve_config(file_values, flag_values)
     if not cfg["data"]:
         raise CliError("no dataset given: use --data or a config file")
+    name = _dataset_name(Path(cfg["data"]).stem, f"--data {cfg['data']}")
     train_cfg = build_train_config(cfg)
 
     ds = _load_dataset(cfg["data"])
@@ -205,7 +214,7 @@ def cmd_train(args) -> int:
         raise CliError(f"training aborted: {exc}") from None
 
     save_model(model, str(out / "model.txt"))
-    rows = history_rows(Path(cfg["data"]).stem, train_cfg, rounds)
+    rows = history_rows(name, train_cfg, rounds)
     (out / "history.csv").write_text(to_csv(rows, RESULTS_COLUMNS), encoding="utf-8")
     if args.verbose:
         (out / "weights.csv").write_text(to_csv(rounds, WEIGHTS_COLUMNS), encoding="utf-8")
@@ -275,19 +284,25 @@ def cmd_experiment(args) -> int:
     _check_keys(raw_shared, METHOD_KEYS, "train")
     shared = _coerce_entry(raw_shared, "train")
     _entry_config(shared, f"train {json.dumps(raw_shared, sort_keys=True)}")
-    methods = []
+    methods, named = [], {}
     for i, entry in enumerate(manifest.get("methods", [])):
         _check_keys(entry, METHOD_KEYS, f"methods[{i}]")
+        where = f"methods[{i}] {json.dumps(entry, sort_keys=True)}"
         merged = {**shared, **_coerce_entry(entry, f"methods[{i}]")}
-        cfg = _entry_config(merged, f"methods[{i}] {json.dumps(entry, sort_keys=True)}")
+        cfg = _entry_config(merged, where)
+        # results are keyed by method name, so two entries with one name would merge
+        taken = named.setdefault(cfg.method_name, where)
+        if taken != where:
+            raise CliError(f"{where}: method name {cfg.method_name!r} is already taken by {taken}")
         methods.append((cfg, merged.get("preset")))
     dataset_entries = []
     for i, entry in enumerate(manifest.get("datasets", [])):
         _check_keys(entry, DATASET_KEYS, f"datasets[{i}]")
         where = f"datasets[{i}] {json.dumps(entry, sort_keys=True)}"
-        if "path" not in entry:
-            raise CliError(f"{where}: no 'path'")
-        dataset_entries.append((where, _coerce_entry(entry, f"datasets[{i}]")))
+        if not isinstance(entry.get("path"), str):
+            raise CliError(f"{where}: 'path' must be a string")
+        name = _dataset_name(entry.get("name") or Path(entry["path"]).stem, where)
+        dataset_entries.append((where, name, _coerce_entry(entry, f"datasets[{i}]")))
 
     out = _out_dir(args.out, "awwsvm-experiment")
     (out / "resolved-manifest.json").write_text(
@@ -295,8 +310,7 @@ def cmd_experiment(args) -> int:
 
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
-    for where, entry in dataset_entries:
-        name = entry.get("name") or Path(entry["path"]).stem
+    for where, name, entry in dataset_entries:
         ds = _load_dataset(entry["path"])
         test = _load_dataset(entry["test_path"]) if entry.get("test_path") else None
         configs = [preset_config(name, cfg.optimizer, cfg.adaptive, base=cfg)
@@ -310,29 +324,35 @@ def cmd_experiment(args) -> int:
             except ValueError as exc:
                 raise CliError(f"{where}: cannot split: {exc}") from None
             cells.extend((name, tr, ev, cfg, seed) for cfg in configs)
-    res = run_experiment(cells, jobs=args.jobs)
+    rows, failures = run_experiment(cells, jobs=args.jobs)
 
-    (out / "results.csv").write_text(res.to_csv(), encoding="utf-8")
-    summary = res.summary()
-    (out / "summary.csv").write_text(to_csv(summary, SUMMARY_COLUMNS), encoding="utf-8")
-    _print_summary(summary)
+    (out / "results.csv").write_text(to_csv(rows, RESULTS_COLUMNS), encoding="utf-8")
+    means = summary(rows)
+    (out / "summary.csv").write_text(to_csv(means, SUMMARY_COLUMNS), encoding="utf-8")
+    _print_summary(means)
 
-    if res.failures:
-        lines = [f"{f.dataset},{f.method},{f.seed},{f.error}" for f in res.failures]
+    if failures:
+        lines = ["{dataset},{method},{seed},{error}".format_map(f) for f in failures]
         (out / "failures.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"{len(res.failures)} cell(s) failed; see {out / 'failures.txt'}", file=sys.stderr)
+        print(f"{len(failures)} cell(s) failed; see {out / 'failures.txt'}", file=sys.stderr)
         return 1
     print(f"wrote {out / 'results.csv'}")
     return 0
 
 
-def _print_summary(summary: list[dict]) -> None:
+def _table(entries: list[dict], col: str) -> tuple[list[str], list[str], dict]:
+    """The datasets and methods of ``summary`` entries in first-seen order, and
+    ``col`` per (dataset, method)."""
+    datasets = list(dict.fromkeys(e["dataset"] for e in entries))
+    methods = list(dict.fromkeys(e["method"] for e in entries))
+    return datasets, methods, {(e["dataset"], e["method"]): e[col] for e in entries}
+
+
+def _print_summary(entries: list[dict]) -> None:
     """Mean final accuracy per (dataset, method); best per dataset marked *."""
-    if not summary:
+    if not entries:
         return
-    datasets = list(dict.fromkeys(e["dataset"] for e in summary))
-    methods = list(dict.fromkeys(e["method"] for e in summary))
-    acc = {(e["dataset"], e["method"]): e["accuracy"] for e in summary}
+    datasets, methods, acc = _table(entries, "accuracy")
     width = max(len(d) for d in datasets) + 2
     print("mean final accuracy over seeds:")
     print(" " * width + "  ".join(f"{m:>12}" for m in methods))
@@ -365,21 +385,16 @@ def cmd_stats(args) -> int:
     if missing:
         raise CliError(f"{path}: no {', '.join(map(repr, missing))} column")
 
-    datasets, methods = [], []
-    cells: dict[tuple[str, str], list[float]] = {}
+    rows = []
     for n, r in finals:
-        d, m = r["dataset"], r["method"]
-        if d not in datasets:
-            datasets.append(d)
-        if m not in methods:
-            methods.append(m)
         try:
             v = float(r[metric])
         except (TypeError, ValueError):
             v = float("nan")
         if not np.isfinite(v):
             raise CliError(f"{path}:{n}: {metric} is not a finite number: {r[metric]!r}")
-        cells.setdefault((d, m), []).append(v)
+        rows.append({**r, metric: v})
+    datasets, methods, cells = _table(summary(rows, [metric]), metric)
     if len(methods) < 2 or len(datasets) < 2:
         raise CliError(f"need at least 2 methods and 2 datasets, "
                        f"got {len(methods)} and {len(datasets)}")
@@ -388,7 +403,7 @@ def cmd_stats(args) -> int:
         for j, m in enumerate(methods):
             if (d, m) not in cells:
                 raise CliError(f"missing cell: dataset {d!r}, method {m!r}")
-            values[i, j] = float(np.mean(cells[(d, m)]))
+            values[i, j] = cells[(d, m)]
 
     rt = rank_rows(values, higher_is_better=True)
     chi2, p = friedman(rt)
@@ -422,9 +437,9 @@ def cmd_stats(args) -> int:
     (out / "stats_report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
 
-    rank_buf = ["method,mean_rank,cd"]
-    rank_buf += [f"{methods[j]},{rt.mean_ranks[j]:.6f},{cd:.6f}" for j in range(len(methods))]
-    (out / "mean_ranks.csv").write_text("\n".join(rank_buf) + "\n", encoding="utf-8")
+    ranks = [{"method": m, "mean_rank": r, "cd": cd} for m, r in zip(methods, rt.mean_ranks)]
+    (out / "mean_ranks.csv").write_text(to_csv(ranks, ["method", "mean_rank", "cd"]),
+                                        encoding="utf-8")
 
     sig_buf = ["method," + ",".join(methods)]
     for i, m in enumerate(methods):

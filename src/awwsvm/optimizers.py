@@ -19,8 +19,8 @@ import numpy as np
 
 from .objective import ObjectiveConfig, subgradient
 
-# Skip the inverse-Hessian update when y.s <= floor * ||s|| * ||y||.
-CURVATURE_FLOOR = 1e-10
+# Skip the H update when y.s <= floor * ||s|| * ||y||: below a cosine of ~1e-5 H may not factor.
+CURVATURE_FLOOR = 1e-4
 
 # Largest dense inverse Hessian a quasi-Newton run may allocate (d >= 16,385
 # is refused); the sgd optimizer keeps no d x d state.

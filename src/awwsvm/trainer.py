@@ -187,37 +187,16 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class RunFailure:
-    dataset: str
-    method: str
-    seed: int
-    error: str
-
-
-@dataclass
-class ExperimentResults:
-    rows: list[dict] = field(default_factory=list)
-    failures: list[RunFailure] = field(default_factory=list)
-
-    def final_rows(self) -> list[dict]:
-        return [r for r in self.rows if r["outer_iter"] == "final"]
-
-    def to_csv(self) -> str:
-        return to_csv(self.rows, RESULTS_COLUMNS)
-
-    def summary(self) -> list[dict]:
-        """Mean of the final metrics over seeds, one entry per (dataset, method)."""
-        groups: dict[tuple[str, str], list[dict]] = {}
-        for row in self.final_rows():
+def summary(rows: list[dict], columns: list[str] = METRIC_COLUMNS) -> list[dict]:
+    """Mean of ``columns`` over the final rows of each (dataset, method), in
+    first-seen order; the only average over seeds."""
+    groups: dict[tuple[str, str], list[dict]] = {}
+    for row in rows:
+        if row["outer_iter"] == "final":
             groups.setdefault((row["dataset"], row["method"]), []).append(row)
-        out = []
-        for (dataset, method), rows in groups.items():
-            entry = {"dataset": dataset, "method": method, "n_seeds": len(rows)}
-            for col in METRIC_COLUMNS:
-                entry[col] = float(np.mean([r[col] for r in rows]))
-            out.append(entry)
-        return out
+    return [{"dataset": dataset, "method": method, "n_seeds": len(group),
+             **{col: float(np.mean([r[col] for r in group])) for col in columns}}
+            for (dataset, method), group in groups.items()]
 
 
 def history_rows(name: str, cfg: TrainConfig, rounds: list[dict]) -> list[dict]:
@@ -234,16 +213,16 @@ def run_cell(name: str, train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig, s
 
 
 def run_experiment(cells: list[tuple[str, Dataset, Dataset, TrainConfig, int]],
-                   jobs: int = 1) -> ExperimentResults:
-    """Run each ``(name, train_ds, eval_ds, cfg, seed)`` cell, keeping the
-    rows in cell order whatever ``jobs`` is. A cell's failure is recorded and
-    does not abort the sweep."""
-    def compute(cell) -> list[dict] | RunFailure:
+                   jobs: int = 1) -> tuple[list[dict], list[dict]]:
+    """Run each ``(name, train_ds, eval_ds, cfg, seed)`` cell; returns the result
+    rows in cell order whatever ``jobs`` is, and one ``dataset, method, seed,
+    error`` dict per failed cell. A cell's failure does not abort the sweep."""
+    def compute(cell) -> tuple[list[dict], dict | None]:
         name, tr, ev, cfg, seed = cell
         try:
-            return run_cell(name, tr, ev, cfg, seed)
+            return run_cell(name, tr, ev, cfg, seed), None
         except Exception as exc:  # noqa: BLE001 - sweep must survive any cell
-            return RunFailure(name, cfg.method_name, seed, str(exc))
+            return [], {"dataset": name, "method": cfg.method_name, "seed": seed, "error": str(exc)}
 
     if jobs > 1 and len(cells) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -252,10 +231,5 @@ def run_experiment(cells: list[tuple[str, Dataset, Dataset, TrainConfig, int]],
     else:
         outputs = [compute(cell) for cell in cells]
 
-    results = ExperimentResults()
-    for out in outputs:
-        if isinstance(out, RunFailure):
-            results.failures.append(out)
-        else:
-            results.rows.extend(out)
-    return results
+    return ([row for rows, _ in outputs for row in rows],
+            [failure for _, failure in outputs if failure is not None])

@@ -73,8 +73,8 @@ def update_weights(state: WeightState, signed_distances: np.ndarray) -> WeightSt
 
     ``signed_distances`` is aligned with the full sample array; inactive
     entries are ignored and their weight stays 0. If all active distances are
-    equal (M == m) only the Gaussian term is used, since the spread term is
-    undefined at zero spread.
+    equal (M == m) only the Gaussian term is used (an infinite spread, whose
+    term is exactly 0), since the spread term is undefined at zero spread.
     """
     if not np.any(state.active):
         raise ValueError("no active samples")
@@ -85,12 +85,8 @@ def update_weights(state: WeightState, signed_distances: np.ndarray) -> WeightSt
     d_abs = np.abs(signed_distances)[state.active]
     M = float(d_abs.max())
     m = float(d_abs.min())
-    if M > m:
-        vals = aw_value(d_abs, state.sigma, M, m)
-    else:
-        gauss = 2.0 / (math.sqrt(2.0 * math.pi) * state.sigma) * np.exp(-(d_abs ** 2) / (2.0 * state.sigma ** 2))
-        vals = np.clip(gauss, 0.0, 1.0)
-    state.alpha[state.active] = vals
+    spread = M - m if M > m else math.inf
+    state.alpha[state.active] = np.clip(aw_raw(d_abs, state.sigma, spread), 0.0, 1.0)
     state.alpha[~state.active] = 0.0
     state.M = M
     state.m = m

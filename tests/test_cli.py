@@ -188,6 +188,17 @@ class TestTrainCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    def test_dataset_name_unfit_for_csv_is_usage_error(self, synth_file, tmp_path, capsys):
+        data = tmp_path / "x,y.libsvm"
+        data.write_bytes(synth_file.read_bytes())
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(data), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --data {data}: dataset name 'x,y' must be a string without a comma, "
+            "a double quote or a line break\n")
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 1\n")
@@ -342,6 +353,12 @@ class TestExperimentCommand:
          "batch_size must be >= 1, got 0"),
         # 1e999 and Infinity parse as inf, which passes the range check
         ({"methods": [{"c": 1e999}]}, 'methods[0] {"c": Infinity}', "C must be finite, got inf"),
+        # results are keyed by method name, so a second entry of one name would merge into it
+        ({"methods": [{"optimizer": "sgd", "adaptive": True},
+                      {"optimizer": "sgd", "adaptive": True, "noise_mode": "rawdot", "c": 5.0}]},
+         'methods[1] {"adaptive": true, "c": 5.0, "noise_mode": "rawdot", "optimizer": "sgd"}',
+         "method name 'aw+sgd' is already taken by "
+         'methods[0] {"adaptive": true, "optimizer": "sgd"}'),
     ])
     def test_invalid_manifest_value_names_entry(self, two_files, tmp_path, capsys,
                                                 patch, where, message):
@@ -352,6 +369,35 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(path), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, stem", [
+        ("a,b", "ds0"), ('a"b', "ds0"), ("a\nb", "ds0"), ("a\rb", "ds0"), (None, "x,y"), (7, "ds0"),
+    ])
+    def test_dataset_name_unfit_for_csv_is_usage_error(self, two_files, tmp_path, capsys,
+                                                       name, stem):
+        path = tmp_path / f"{stem}.libsvm"
+        if not path.exists():
+            path.write_bytes(two_files[0].read_bytes())
+        entry = {"path": str(path), **({} if name is None else {"name": name})}
+        manifest = _write_manifest(tmp_path, [entry], [{}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        shown = stem if name is None else name
+        assert capsys.readouterr().err == (
+            f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: dataset name {shown!r} "
+            "must be a string without a comma, a double quote or a line break\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [{"name": "a"}, {"path": 5}])
+    def test_dataset_path_not_a_string_is_usage_error(self, tmp_path, capsys, entry):
+        manifest = _write_manifest(tmp_path, [entry], [{}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: 'path' must be a string\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seeds", [["x"], 3, [1.9]])
@@ -385,13 +431,14 @@ class TestExperimentCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_cell_recorded_in_failures(self, two_files, tmp_path):
         manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}],
-                                   [{"optimizer": "sgd"}, {"optimizer": "sgd", "alpha0": 1e200}],
+                                   [{"optimizer": "sgd"},
+                                    {"optimizer": "sgd", "adaptive": True, "alpha0": 1e200}],
                                    seeds=[0])
         out = tmp_path / "exp"
         rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 1
         assert (out / "failures.txt").read_text() == (
-            "ds0,sgd,0,weights diverged to a non-finite value in outer round 1\n")
+            "ds0,aw+sgd,0,weights diverged to a non-finite value in outer round 1\n")
 
     def test_oversized_inverse_hessian_recorded_in_failures(self, wide_file, tmp_path):
         manifest = _write_manifest(tmp_path, [{"path": str(wide_file), "test_path": str(wide_file)}],
@@ -441,6 +488,31 @@ class TestStatsCommand:
         assert (out / "significance.csv").exists()
         ranks_csv = (out / "mean_ranks.csv").read_text().splitlines()
         assert ranks_csv[0] == "method,mean_rank,cd"
+
+    def test_output_bytes_pinned(self, results_csv, tmp_path, capsys):
+        out = tmp_path / "stats"
+        rc = main(["stats", "--results", str(results_csv), "--out", str(out)])
+        assert rc == 0
+        report = ("metric: accuracy\n"
+                  "datasets: 3  methods: 3\n"
+                  "friedman chi2 = 6.0000   p = 0.0497871\n"
+                  "critical difference (q=2.343, alpha=0.05) = 1.9131\n"
+                  "mean ranks (1 = best):\n"
+                  "  aw+sgd           1.0000\n"
+                  "  onaq             2.0000\n"
+                  "  sgd              3.0000\n"
+                  "significant pairs (|rank diff| > CD):\n"
+                  "  sgd vs aw+sgd  (diff 2.0000)\n")
+        assert (out / "stats_report.txt").read_text() == report
+        assert capsys.readouterr().out.startswith(report)
+        assert (out / "mean_ranks.csv").read_text() == ("method,mean_rank,cd\n"
+                                                        "sgd,3.000000,1.913051\n"
+                                                        "aw+sgd,1.000000,1.913051\n"
+                                                        "onaq,2.000000,1.913051\n")
+        assert (out / "significance.csv").read_text() == ("method,sgd,aw+sgd,onaq\n"
+                                                          "sgd,false,true,false\n"
+                                                          "aw+sgd,true,false,false\n"
+                                                          "onaq,false,false,false\n")
 
     def test_single_method_is_error(self, results_csv, tmp_path, capsys):
         text = [l for l in results_csv.read_text().splitlines()

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from awwsvm import optimizers
 from awwsvm.objective import ObjectiveConfig, WeightMode
 from awwsvm.optimizers import (CURVATURE_FLOOR, MAX_DENSE_H_BYTES, QuasiNewtonState,
                                ScheduleKind, StepSchedule, bfgs_inverse_update, obfgs_step,
@@ -113,6 +114,16 @@ class TestBfgsInverseUpdate:
         with pytest.raises(ValueError):
             bfgs_inverse_update(H, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         np.testing.assert_array_equal(H, [[2.0, 0.5], [0.5, 1.0]])
+
+    def test_pair_at_cosine_1e_6_raises(self):
+        # an admitted pair at this cosine left H unfactorable in about half of
+        # the cases, so the floor refuses it
+        H = np.eye(2)
+        with pytest.raises(ValueError, match="curvature"):
+            bfgs_inverse_update(H, np.array([1.0, 0.0]), np.array([1e-6, 1.0]))
+        np.testing.assert_array_equal(H, np.eye(2))
+        bfgs_inverse_update(H, np.array([1.0, 0.0]), np.array([1e-3, 1.0]))
+        np.linalg.cholesky(H)
 
     def test_overwrites_and_returns_h(self):
         H = np.eye(3)
@@ -240,6 +251,20 @@ class TestObfgsStep:
         w0 = np.array([1.0, 0.0])
         w1 = obfgs_step(w0, state, X, y, alpha, REG, sched)
         np.testing.assert_array_equal(w1, w0)
+        np.testing.assert_array_equal(state.H, np.eye(2))
+        assert state.k == 2
+
+    def test_pair_below_floor_keeps_h_but_steps(self, monkeypatch):
+        # g1 = (1, 0) gives s = -(10/11, 0); g2 - g1 = (-1e-6, 1) is at cosine
+        # 1e-6 to s, below the floor, so H stays while w, v and k move on
+        grads = iter([np.array([1.0, 0.0]), np.array([1.0 - 1e-6, 1.0])])
+        monkeypatch.setattr(optimizers, "subgradient", lambda *args: next(grads))
+        X, y, alpha = _single_sample_batch([1.0, 0.0])
+        state = QuasiNewtonState.initial(2, damping=0.0)
+        sched = StepSchedule(ScheduleKind.TAU_DECAY, alpha0=1.0, tau=10.0)
+        w = obfgs_step(np.zeros(2), state, X, y, alpha, REG, sched)
+        np.testing.assert_array_equal(w, [-10.0 / 11.0, 0.0])
+        np.testing.assert_array_equal(state.v, w)
         np.testing.assert_array_equal(state.H, np.eye(2))
         assert state.k == 2
 

@@ -8,7 +8,7 @@ from awwsvm.objective import ObjectiveConfig, WeightMode
 from awwsvm.optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
 from awwsvm.cli import WEIGHTS_COLUMNS
 from awwsvm.trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, TrainConfig,
-                            TrainingError, run_experiment, train)
+                            TrainingError, run_experiment, summary, to_csv, train)
 from awwsvm.weighting import detect_noise, init_weights
 
 
@@ -194,9 +194,14 @@ class TestTrainLoop:
 
 
 def _sweep(datasets, methods, seeds, jobs=1):
-    """run_experiment over the datasets x methods x seeds cross product."""
+    """run_experiment's (rows, failures) over the datasets x methods x seeds
+    cross product."""
     return run_experiment([(name, tr, ev, cfg, seed) for name, tr, ev in datasets
                            for cfg in methods for seed in seeds], jobs=jobs)
+
+
+def _finals(rows):
+    return [r for r in rows if r["outer_iter"] == "final"]
 
 
 class TestRunExperiment:
@@ -213,46 +218,59 @@ class TestRunExperiment:
 
     def test_row_counts(self):
         datasets, methods = self._cells()
-        res = _sweep(datasets, methods, seeds=[0, 1])
-        assert len(res.final_rows()) == 2 * 2 * 2
+        rows, failures = _sweep(datasets, methods, seeds=[0, 1])
+        assert len(_finals(rows)) == 2 * 2 * 2
         per_run_rows = 3 + 1  # outer_iters history rows plus the final row
-        assert len(res.rows) == 2 * 2 * 2 * per_run_rows
-        assert not res.failures
+        assert len(rows) == 2 * 2 * 2 * per_run_rows
+        assert not failures
 
     def test_csv_deterministic(self):
         datasets, methods = self._cells()
-        a = _sweep(datasets, methods, seeds=[0, 1]).to_csv()
-        b = _sweep(datasets, methods, seeds=[0, 1]).to_csv()
+        a = to_csv(_sweep(datasets, methods, seeds=[0, 1])[0], RESULTS_COLUMNS)
+        b = to_csv(_sweep(datasets, methods, seeds=[0, 1])[0], RESULTS_COLUMNS)
         assert a == b
         assert a.splitlines()[0] == ",".join(RESULTS_COLUMNS)
 
     def test_jobs_do_not_change_output(self):
         datasets, methods = self._cells()
-        serial = _sweep(datasets, methods, seeds=[0]).to_csv()
-        threaded = _sweep(datasets, methods, seeds=[0], jobs=4).to_csv()
+        serial = to_csv(_sweep(datasets, methods, seeds=[0])[0], RESULTS_COLUMNS)
+        threaded = to_csv(_sweep(datasets, methods, seeds=[0], jobs=4)[0], RESULTS_COLUMNS)
         assert serial == threaded
 
     def test_empty_methods_give_empty_table(self):
         datasets, _ = self._cells()
-        res = _sweep(datasets, [], seeds=[0])
-        assert res.rows == []
-        assert res.to_csv() == ",".join(RESULTS_COLUMNS) + "\n"
+        rows, _ = _sweep(datasets, [], seeds=[0])
+        assert rows == []
+        assert to_csv(rows, RESULTS_COLUMNS) == ",".join(RESULTS_COLUMNS) + "\n"
 
     def test_cell_failure_recorded_without_aborting(self):
         single_class = Dataset.from_samples(
             [Sample(features=((1, 1.0),), label=1) for _ in range(5)])
         ok = synth_two_gaussians(10, 10, 3.0, 0.0, seed=1)
         datasets = [("bad", single_class, ok), ("good", ok, ok)]
-        res = _sweep(datasets, [small_config()], seeds=[0])
-        assert len(res.failures) == 1
-        assert res.failures[0].dataset == "bad"
-        assert {r["dataset"] for r in res.final_rows()} == {"good"}
+        rows, failures = _sweep(datasets, [small_config()], seeds=[0])
+        assert len(failures) == 1
+        assert failures[0]["dataset"] == "bad"
+        assert {r["dataset"] for r in _finals(rows)} == {"good"}
 
     def test_summary_averages_over_seeds(self):
         datasets, methods = self._cells()
-        res = _sweep(datasets, methods, seeds=[0, 1, 2])
-        summary = res.summary()
-        assert len(summary) == 4
-        assert all(s["n_seeds"] == 3 for s in summary)
-        method_names = {s["method"] for s in summary}
+        rows, _ = _sweep(datasets, methods, seeds=[0, 1, 2])
+        means = summary(rows)
+        assert len(means) == 4
+        assert all(s["n_seeds"] == 3 for s in means)
+        method_names = {s["method"] for s in means}
         assert method_names == {"sgd", "aw+sgd"}
+
+    def test_summary_ignores_non_final_rows_and_keeps_first_seen_order(self):
+        def row(dataset, method, outer_iter, acc):
+            return {"dataset": dataset, "method": method, "outer_iter": outer_iter,
+                    "accuracy": acc}
+        rows = [row("b", "sgd", 1, 0.0), row("b", "sgd", "final", 0.5),
+                row("a", "onaq", "final", 0.25), row("b", "sgd", 2, 9.0),
+                row("a", "sgd", "final", 1.0), row("b", "sgd", "final", 0.75)]
+        assert summary(rows, ["accuracy"]) == [
+            {"dataset": "b", "method": "sgd", "n_seeds": 2, "accuracy": 0.625},
+            {"dataset": "a", "method": "onaq", "n_seeds": 1, "accuracy": 0.25},
+            {"dataset": "a", "method": "sgd", "n_seeds": 1, "accuracy": 1.0},
+        ]
