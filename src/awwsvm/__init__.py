@@ -19,7 +19,6 @@ from .stats import (NEMENYI_Q_05, RankTable, chi2_sf, friedman, nemenyi_cd, neme
                     pairwise_significance, rank_rows)
 from .trainer import (Optimizer, RESULTS_COLUMNS, TrainConfig, TrainingError, run_experiment,
                       summary, train)
-from .weighting import (NoiseMode, WeightState, aw_raw, aw_value, detect_noise,
-                        init_weights, update_weights)
+from .weighting import NoiseMode, aw_raw, detect_noise, init_weights, update_weights
 
 __version__ = "0.1.0"

@@ -304,10 +304,6 @@ def cmd_experiment(args) -> int:
         name = _dataset_name(entry.get("name") or Path(entry["path"]).stem, where)
         dataset_entries.append((where, name, _coerce_entry(entry, f"datasets[{i}]")))
 
-    out = _out_dir(args.out, "awwsvm-experiment")
-    (out / "resolved-manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
     for where, name, entry in dataset_entries:
@@ -324,6 +320,12 @@ def cmd_experiment(args) -> int:
             except ValueError as exc:
                 raise CliError(f"{where}: cannot split: {exc}") from None
             cells.extend((name, tr, ev, cfg, seed) for cfg in configs)
+
+    # written only once every dataset has loaded and split
+    out = _out_dir(args.out, "awwsvm-experiment")
+    (out / "resolved-manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
     rows, failures = run_experiment(cells, jobs=args.jobs)
 
     (out / "results.csv").write_text(to_csv(rows, RESULTS_COLUMNS), encoding="utf-8")

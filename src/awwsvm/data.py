@@ -410,33 +410,40 @@ class RowBatch:
 
 
 class MinibatchSampler:
-    """Deterministic shuffled-partition minibatch stream over an index set.
+    """Deterministic shuffled-partition minibatch stream over ``range(n)``.
 
     Each epoch is a fresh permutation of the active indices, served in slices
     of ``batch_size`` (the final short batch is used, not dropped). Two
-    samplers with equal seed and batch size yield identical batch sequences.
-    If the active set shrinks mid-epoch, dropped indices are filtered out of
-    the remainder of the current permutation.
+    samplers with equal n, seed and batch size yield identical batch
+    sequences. ``drop`` removes indices for good, including from the
+    remainder of the current epoch.
     """
 
-    def __init__(self, batch_size: int, seed: int):
+    def __init__(self, n: int, batch_size: int, seed: int):
+        if n < 1:
+            raise ValueError(f"need at least one index, got n={n}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self.n = n
         self.batch_size = batch_size
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
+        self._active = np.arange(n, dtype=np.int64)
         self._queue = np.empty(0, dtype=np.int64)
 
-    def next_batch(self, active) -> np.ndarray:
-        active_arr = np.asarray(sorted(active) if isinstance(active, set) else active, dtype=np.int64)
-        if active_arr.size == 0:
-            raise ValueError("active set is empty")
-        if active_arr.min() < 0:
-            raise ValueError("active indices must be >= 0")
-        allowed = np.zeros(max(active_arr.max(), self._queue.max(initial=0)) + 1, dtype=bool)
-        allowed[active_arr] = True
-        self._queue = self._queue[allowed[self._queue]]
+    def drop(self, idx) -> None:
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError(f"indices must lie in [0, {self.n})")
+        keep = np.ones(self.n, dtype=bool)
+        keep[idx] = False
+        active = self._active[keep[self._active]]
+        if not active.size:
+            raise ValueError("drop would leave no active index")
+        self._active = active
+        self._queue = self._queue[keep[self._queue]]
+
+    def next_batch(self) -> np.ndarray:
         if not self._queue.size:
-            self._queue = self._rng.permutation(active_arr)
+            self._queue = self._rng.permutation(self._active)
         batch, self._queue = self._queue[: self.batch_size], self._queue[self.batch_size:]
         return batch

@@ -42,7 +42,7 @@ def _margins(w: np.ndarray, X, y: np.ndarray) -> np.ndarray:
 def _check_batch(y: np.ndarray, alpha: np.ndarray) -> None:
     if len(y) == 0:
         raise ValueError("empty batch")
-    if np.any(alpha < 0.0) or np.any(alpha > 1.0):
+    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):  # NaN fails both
         raise ValueError("weights must lie in [0, 1]")
 
 

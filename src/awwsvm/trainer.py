@@ -110,8 +110,9 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
     n, d_aug = X.shape
 
     w = np.zeros(d_aug)
-    ws = init_weights(n, sigma=cfg.sigma)
-    sampler = MinibatchSampler(cfg.batch_size, cfg.seed)
+    alpha = init_weights(n)
+    active = np.ones(n, dtype=bool)  # False once flagged as noise, for the rest of the run
+    sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
     schedule = cfg.schedule()
     qn = None
     if cfg.optimizer is not Optimizer.SGD:
@@ -123,11 +124,10 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
     sgd_k = 1
 
     rounds = []
-    active_idx = np.where(ws.active)[0]
     for outer in range(1, cfg.outer_iters + 1):
         for _ in range(cfg.inner_iters):
-            bidx = sampler.next_batch(active_idx)
-            Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], ws.alpha[bidx]
+            bidx = sampler.next_batch()
+            Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], alpha[bidx]
             if cfg.optimizer is Optimizer.SGD:
                 w = sgd_step(w, Xb, yb, ab, cfg.objective, schedule, sgd_k)
                 sgd_k += 1
@@ -143,27 +143,25 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
             geo_norm = float(np.linalg.norm(model.w))
             if geo_norm > 0.0:
                 dist = decision_values(model, train_ds.X) / geo_norm
-                flagged = detect_noise(dist, y, ws.active, cfg.noise_mode, X=train_ds.X)
+                flagged = detect_noise(dist, y, active, cfg.noise_mode, X=train_ds.X)
                 if flagged.size:
-                    next_active = ws.active.copy()
-                    next_active[flagged] = False
+                    active[flagged] = False
                     for cls in (1, -1):
-                        if not np.any(next_active & (y == cls)):
+                        if not np.any(active & (y == cls)):
                             raise TrainingError(
                                 f"noise elimination removed every class {cls:+d} sample")
-                    ws.active = next_active
-                    active_idx = np.where(ws.active)[0]
-                update_weights(ws, dist)
+                    sampler.drop(flagged)
+                alpha = update_weights(dist, active, cfg.sigma)
             # a zero geometric norm leaves distances undefined; keep the
             # current weights and mask for this round
 
         rep = report(confusion_from_predictions(y_eval, predict(model, X_eval)))
-        a_act = ws.alpha[ws.active]
+        a_act = alpha[active]
         rounds.append({
             "outer_iter": outer,
             **{col: getattr(rep, col) for col in METRIC_COLUMNS},
-            "train_loss": loss(w, X[active_idx], y[active_idx], ws.alpha[active_idx], cfg.objective),
-            "n_noise": int(np.sum(~ws.active)),
+            "train_loss": loss(w, X[active], y[active], a_act, cfg.objective),
+            "n_noise": int(np.sum(~active)),
             "alpha_min": float(a_act.min()),
             "alpha_mean": float(a_act.mean()),
             "alpha_max": float(a_act.max()),

@@ -13,7 +13,6 @@ and M > m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 import math
 
@@ -25,72 +24,48 @@ class NoiseMode(Enum):
     RAW_DOT = "rawdot"
 
 
-@dataclass
-class WeightState:
-    """Per-sample weights plus the permanent active mask.
-
-    ``M``/``m`` are the max/min unsigned distances seen at the most recent
-    update. Samples flagged as noise are deactivated for good: their weight is
-    pinned to 0 and they never re-enter a minibatch.
-    """
-
-    alpha: np.ndarray
-    active: np.ndarray
-    sigma: float = 1.0
-    M: float = float("nan")
-    m: float = float("nan")
-
-
-def init_weights(l: int, sigma: float = 1.0) -> WeightState:
-    """Uniform initial weights 2/l (clamped into [0,1]); everything active."""
+def init_weights(l: int) -> np.ndarray:
+    """Uniform initial weights 2/l, clamped into [0,1]."""
     if l < 1:
         raise ValueError("need at least one sample")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    alpha = np.full(l, min(2.0 / l, 1.0), dtype=np.float64)
-    return WeightState(alpha=alpha, active=np.ones(l, dtype=bool), sigma=sigma)
+    return np.full(l, min(2.0 / l, 1.0), dtype=np.float64)
 
 
 def aw_raw(d, sigma: float, spread: float):
     """Unclamped weight at unsigned distance ``d`` with distance spread M-m."""
     d = np.asarray(d, dtype=np.float64)
-    gauss = 2.0 / (math.sqrt(2.0 * math.pi) * sigma) * np.exp(-(d ** 2) / (2.0 * sigma ** 2))
     rate = 1.0 / spread
-    # a subnormal spread overflows the reciprocal; dividing avoids inf * 0 = NaN
-    tail = rate * np.exp(-d / spread) if math.isfinite(rate) else np.exp(-d / spread) / spread
+    # overflow to inf is the right limit: d ** 2 = inf (|d| > ~1.3e154) makes the
+    # Gaussian term 0, and a subnormal spread gives an inf weight that clamps to 1.
+    # Such a spread also overflows the reciprocal; dividing avoids inf * 0 = NaN
+    with np.errstate(over="ignore"):
+        gauss = 2.0 / (math.sqrt(2.0 * math.pi) * sigma) * np.exp(-(d ** 2) / (2.0 * sigma ** 2))
+        tail = rate * np.exp(-d / spread) if math.isfinite(rate) else np.exp(-d / spread) / spread
     return gauss + tail
 
 
-def aw_value(d, sigma: float, M: float, m: float):
-    """Weight at unsigned distance ``d``, clamped into [0,1]. Requires M > m."""
-    if M <= m:
-        raise ValueError(f"requires M > m, got M={M}, m={m}")
-    return np.clip(aw_raw(d, sigma, M - m), 0.0, 1.0)
+def update_weights(signed_distances: np.ndarray, active: np.ndarray, sigma: float) -> np.ndarray:
+    """Weights of the active samples from their current distances; 0 elsewhere.
 
-
-def update_weights(state: WeightState, signed_distances: np.ndarray) -> WeightState:
-    """Refresh M, m and the active samples' weights from current distances.
-
-    ``signed_distances`` is aligned with the full sample array; inactive
-    entries are ignored and their weight stays 0. If all active distances are
+    ``signed_distances`` and ``active`` are aligned with the full sample array;
+    M and m are taken over the active entries. If all active distances are
     equal (M == m) only the Gaussian term is used (an infinite spread, whose
     term is exactly 0), since the spread term is undefined at zero spread.
     """
-    if not np.any(state.active):
+    active = np.asarray(active, dtype=bool)
+    if not np.any(active):
         raise ValueError("no active samples")
     signed_distances = np.asarray(signed_distances, dtype=np.float64)
-    if signed_distances.shape != state.alpha.shape:
+    if signed_distances.shape != active.shape:
         raise ValueError(f"need one distance per sample: got {signed_distances.shape}, "
-                         f"expected {state.alpha.shape}")
-    d_abs = np.abs(signed_distances)[state.active]
+                         f"expected {active.shape}")
+    d_abs = np.abs(signed_distances[active])
     M = float(d_abs.max())
     m = float(d_abs.min())
     spread = M - m if M > m else math.inf
-    state.alpha[state.active] = np.clip(aw_raw(d_abs, state.sigma, spread), 0.0, 1.0)
-    state.alpha[~state.active] = 0.0
-    state.M = M
-    state.m = m
-    return state
+    alpha = np.zeros(active.shape)
+    alpha[active] = np.clip(aw_raw(d_abs, sigma, spread), 0.0, 1.0)
+    return alpha
 
 
 def detect_noise(signed_distances: np.ndarray, labels: np.ndarray, active: np.ndarray,

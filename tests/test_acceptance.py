@@ -198,15 +198,14 @@ def _bare_trajectory(train_ds, cfg):
     y = train_ds.labels()
     n, d = X.shape
     w = np.zeros(d)
-    ws = init_weights(n)
-    sampler = MinibatchSampler(cfg.batch_size, cfg.seed)
+    alpha = init_weights(n)
+    sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
     sched = cfg.schedule()
     state = QuasiNewtonState.initial(d, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
     k = 1
-    active = np.arange(n)
     for _ in range(cfg.outer_iters * cfg.inner_iters):
-        idx = sampler.next_batch(active)
-        Xb, yb, ab = X[idx], y[idx], ws.alpha[idx]
+        idx = sampler.next_batch()
+        Xb, yb, ab = X[idx], y[idx], alpha[idx]
         if cfg.optimizer is Optimizer.SGD:
             w = sgd_step(w, Xb, yb, ab, cfg.objective, sched, k)
             k += 1

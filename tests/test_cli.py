@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -51,6 +52,36 @@ class TestSynthCommand:
             main(["synth", "--n-pos", "20", "--n-neg", "30", "--seed", "9",
                   "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of (model.txt, history.csv, weights.csv) of an adaptive ``train -v`` run
+# on a flip-noise set where one sample is eliminated in round 1, mid-epoch
+PINNED_DIGESTS = {
+    "sgd": ("d15decae5ee4ef3373ffffe25d84fcb2ee750a0cb4d74f1b34cc7a1804f67462",
+            "776be4e514a98697c2d6ac16d9d294ad1418fd14e90f37ef9ff8973c246e7eac",
+            "77903d48407c07105e970714aee3d9df4efe6ceef3cb1ee0f885ab5388e1dda4"),
+    "obfgs": ("e4e54734ac14d875feef751ca73d26370aa25047da02e99c41b237bbe2b37abf",
+              "1a6a5ae46a99c301ed3022bdbac76789089d602ee6047b57b82948f41b37eb98",
+              "86d89ef278acdb3df3f25b9be006741394728481c6f707969ee3b78ebbfb8eff"),
+    "onaq": ("6d3861738911d2c99e970b46b1c998d2c83788e93e7db981194c1b2844c74447",
+             "af1bf7adbbbda387ed3dc304f4921fac240d18de28e93d0b51737969cccf0ee9",
+             "09c1e3e1dcc4556c5665e380199289f6e421b06d042e20bb78959fa3c08b741b"),
+}
+
+
+@pytest.mark.parametrize("opt", sorted(PINNED_DIGESTS))
+def test_adaptive_run_output_bytes_pinned(tmp_path, opt):
+    data = tmp_path / "flip.libsvm"
+    assert main(["synth", "--n-pos", "30", "--n-neg", "20", "--separation", "5.0",
+                 "--flip", "0.05", "--seed", "4", "--out", str(data)]) == 0
+    out = tmp_path / opt
+    assert main(["train", "--data", str(data), "--optimizer", opt, "--adaptive",
+                 "--alpha0", "0.1", "--outer-iters", "4", "--inner-iters", "4",
+                 "--batch-size", "6", "--seed", "2", "-v", "--out", str(out)]) == 0
+    assert (out / "weights.csv").read_text().splitlines()[1].endswith(",1")  # one eliminated
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("model.txt", "history.csv", "weights.csv"))
+    assert got == PINNED_DIGESTS[opt]
 
 
 class TestTrainCommand:
@@ -427,6 +458,20 @@ class TestExperimentCommand:
         assert err == (f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: cannot split: "
                        "test_fraction must be in (0,1), got 2.0\n")
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("case", ["path", "test_path", "split"])
+    def test_dataset_failure_writes_nothing(self, two_files, tmp_path, capsys, case):
+        absent = str(tmp_path / "absent.libsvm")
+        entry = {"path": {"path": absent},
+                 "test_path": {"path": str(two_files[0]), "test_path": absent},
+                 "split": {"path": str(two_files[0]), "split": 2}}[case]
+        manifest = _write_manifest(tmp_path, [entry], [{}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        want = "cannot split" if case == "split" else f"dataset file not found: {absent}"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_cell_recorded_in_failures(self, two_files, tmp_path):

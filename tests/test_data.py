@@ -197,54 +197,62 @@ class TestSynth:
 
 class TestMinibatchSampler:
     def test_single_batch_when_batch_covers_active(self):
-        s = MinibatchSampler(batch_size=10, seed=0)
-        batch = s.next_batch(np.arange(4))
+        s = MinibatchSampler(4, batch_size=10, seed=0)
+        batch = s.next_batch()
         assert sorted(batch.tolist()) == [0, 1, 2, 3]
 
     def test_epoch_partition_sizes(self):
-        s = MinibatchSampler(batch_size=4, seed=0)
-        active = np.arange(10)
-        sizes = [len(s.next_batch(active)) for _ in range(3)]
+        s = MinibatchSampler(10, batch_size=4, seed=0)
+        sizes = [len(s.next_batch()) for _ in range(3)]
         assert sizes == [4, 4, 2]
 
     def test_epoch_is_permutation(self):
         for seed in range(5):
-            s = MinibatchSampler(batch_size=3, seed=seed)
-            active = np.arange(11)
-            seen = np.concatenate([s.next_batch(active) for _ in range(4)])
+            s = MinibatchSampler(11, batch_size=3, seed=seed)
+            seen = np.concatenate([s.next_batch() for _ in range(4)])
             assert sorted(seen.tolist()) == list(range(11))
 
     def test_same_seed_same_stream(self):
-        a = MinibatchSampler(batch_size=4, seed=123)
-        b = MinibatchSampler(batch_size=4, seed=123)
-        active = np.arange(17)
+        a = MinibatchSampler(17, batch_size=4, seed=123)
+        b = MinibatchSampler(17, batch_size=4, seed=123)
         for _ in range(12):
-            assert a.next_batch(active).tolist() == b.next_batch(active).tolist()
+            assert a.next_batch().tolist() == b.next_batch().tolist()
 
-    def test_shrinking_active_set_filters_queue(self):
-        s = MinibatchSampler(batch_size=3, seed=0)
-        full = np.arange(9)
-        s.next_batch(full)
-        shrunk = np.arange(4)  # drop 4..8 mid-epoch
+    def test_drop_filters_queue(self):
+        s = MinibatchSampler(9, batch_size=3, seed=0)
+        s.next_batch()
+        s.drop(np.arange(4, 9))  # mid-epoch
         for _ in range(6):
-            batch = s.next_batch(shrunk)
-            assert set(batch.tolist()) <= set(shrunk.tolist())
+            batch = s.next_batch()
+            assert set(batch.tolist()) <= set(range(4))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.sets(st.integers(0, 500), min_size=1, max_size=60), st.integers(1, 70),
            st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_each_epoch_serves_every_active_index_once(self, active, batch_size, seed, epochs):
-        s = MinibatchSampler(batch_size=batch_size, seed=seed)
+        s = MinibatchSampler(501, batch_size=batch_size, seed=seed)
         active = np.array(sorted(active))
+        s.drop(np.setdiff1d(np.arange(501), active))
         per_epoch = -(-len(active) // batch_size)
         for _ in range(epochs):
-            served = np.concatenate([s.next_batch(active) for _ in range(per_epoch)])
+            served = np.concatenate([s.next_batch() for _ in range(per_epoch)])
             assert sorted(served.tolist()) == active.tolist()
 
-    def test_empty_active_is_error(self):
-        s = MinibatchSampler(batch_size=2, seed=0)
+    @pytest.mark.parametrize("n, batch_size", [(0, 2), (-1, 2), (5, 0)])
+    def test_bad_size_is_error(self, n, batch_size):
         with pytest.raises(ValueError):
-            s.next_batch(np.array([], dtype=np.int64))
+            MinibatchSampler(n, batch_size=batch_size, seed=0)
+
+    @pytest.mark.parametrize("idx", [[-1], [0, 3]])
+    def test_drop_outside_range_is_error(self, idx):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            MinibatchSampler(3, batch_size=2, seed=0).drop(np.array(idx))
+
+    def test_drop_of_every_index_is_error(self):
+        s = MinibatchSampler(3, batch_size=2, seed=0)
+        s.drop([1])
+        with pytest.raises(ValueError, match="no active index"):
+            s.drop([0, 2])
 
 
 class TestMinMaxScale:

@@ -25,8 +25,7 @@ class SetFilterSampler:
         self._queue: list[int] = []
 
     def next_batch(self, active) -> np.ndarray:
-        active_arr = np.asarray(sorted(active) if isinstance(active, set) else active,
-                                dtype=np.int64)
+        active_arr = np.asarray(active, dtype=np.int64)
         allowed = set(active_arr.tolist())
         self._queue = [i for i in self._queue if i in allowed]
         if not self._queue:
@@ -158,31 +157,44 @@ def assert_parses_like_reference(text: str) -> None:
     assert_same_dataset(parse_libsvm(text), Dataset.from_samples(samples, label_map=label_map))
 
 
+def shrink_schedule(n: int, steps: int, shrinks: dict[int, float], seed: int):
+    """Per step, the active set before that step's batch: each step in
+    ``shrinks`` drops that fraction of the active set, at random, mid-epoch."""
+    rng = np.random.default_rng(seed)
+    active = np.arange(n)
+    for step in range(steps):
+        if step in shrinks:
+            keep = max(1, round(len(active) * (1.0 - shrinks[step])))
+            active = np.sort(rng.choice(active, size=keep, replace=False))
+        yield active
+
+
+def assert_same_stream(n, batch_size, seed, steps, shrinks, schedule_seed):
+    new, ref = MinibatchSampler(n, batch_size, seed), SetFilterSampler(batch_size, seed)
+    prev = np.arange(n)
+    for active in shrink_schedule(n, steps, shrinks, schedule_seed):
+        if len(active) < len(prev):
+            new.drop(np.setdiff1d(prev, active))
+        prev = active
+        got, want = new.next_batch(), ref.next_batch(active)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
 class TestSamplerMatchesSetFilter:
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     @pytest.mark.parametrize("batch_size", [1, 3, 8, 64])
-    @pytest.mark.parametrize("as_set", [False, True])
-    def test_same_stream_with_mid_epoch_shrinks(self, seed, batch_size, as_set):
-        rng = np.random.default_rng(seed + 1000)
-        active = np.arange(50)
-        new, ref = MinibatchSampler(batch_size, seed), SetFilterSampler(batch_size, seed)
-        for step in range(60):
-            if step in (5, 17, 30):  # drop a random fifth of the active set mid-epoch
-                active = np.sort(rng.choice(active, size=len(active) * 4 // 5, replace=False))
-            arg = set(active.tolist()) if as_set else active
-            got, want = new.next_batch(arg), ref.next_batch(arg)
-            assert got.dtype == want.dtype == np.int64
-            assert got.tolist() == want.tolist()
+    def test_same_stream_with_mid_epoch_shrinks(self, seed, batch_size):
+        # drop a random fifth of the active set at steps 5, 17 and 30
+        assert_same_stream(50, batch_size, seed, 60, {5: 0.2, 17: 0.2, 30: 0.2}, seed + 1000)
 
-    def test_regrown_active_set_matches(self):
-        new, ref = MinibatchSampler(4, 5), SetFilterSampler(4, 5)
-        for active in (np.arange(10), np.arange(0, 10, 2), np.arange(20), [3, 19, 7]):
-            for _ in range(4):
-                assert new.next_batch(active).tolist() == ref.next_batch(active).tolist()
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            MinibatchSampler(2, 0).next_batch(np.array([-1, 0, 1]))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 80), st.integers(1, 20), st.integers(0, 2**32 - 1),
+           st.dictionaries(st.integers(0, 39), st.floats(0.0, 0.9), max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_same_stream_on_random_shrink_schedules(self, n, batch_size, seed, shrinks,
+                                                     schedule_seed):
+        assert_same_stream(n, batch_size, seed, 40, shrinks, schedule_seed)
 
 
 class TestParserMatchesScalarReference:

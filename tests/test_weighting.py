@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from awwsvm.weighting import (NoiseMode, aw_raw, aw_value, detect_noise,
-                              init_weights, update_weights)
+from awwsvm.weighting import NoiseMode, aw_raw, detect_noise, init_weights, update_weights
 
 GAUSS0 = 2.0 / math.sqrt(2.0 * math.pi)  # 0.7978845608028654
 
@@ -23,37 +22,35 @@ def distances_and_mask(draw, elements=FINITE):
     return np.array(d), np.array(active)
 
 
+def all_active(n):
+    return np.ones(n, dtype=bool)
+
+
 class TestInitWeights:
     def test_uniform_two_over_l(self):
-        ws = init_weights(4)
-        np.testing.assert_allclose(ws.alpha, 0.5)
-        assert ws.alpha.sum() == pytest.approx(2.0)
-        assert ws.active.all()
+        alpha = init_weights(4)
+        np.testing.assert_allclose(alpha, 0.5)
+        assert alpha.sum() == pytest.approx(2.0)
 
     def test_single_sample_clamped(self):
-        ws = init_weights(1)
-        assert ws.alpha[0] == 1.0
+        assert init_weights(1)[0] == 1.0
 
     def test_large_count(self):
-        ws = init_weights(2000)
-        np.testing.assert_allclose(ws.alpha, 0.001)
+        np.testing.assert_allclose(init_weights(2000), 0.001)
 
     def test_zero_samples_is_error(self):
         with pytest.raises(ValueError):
             init_weights(0)
 
 
-class TestAwValue:
+class TestAwRaw:
     def test_saturates_at_zero_distance(self):
         assert aw_raw(0.0, 1.0, 1.0) == pytest.approx(1.7978845608028653)
-        assert aw_value(0.0, 1.0, 1.0, 0.0) == 1.0
+        # M - m = 1 with the minimum at 0: the clamp caps the weight at 1
+        assert update_weights(np.array([0.0, 1.0]), all_active(2), 1.0)[0] == 1.0
 
     def test_vanishes_at_infinity(self):
-        assert aw_value(1e3, 1.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_positive_spread(self):
-        with pytest.raises(ValueError):
-            aw_value(1.0, 1.0, 1.0, 1.0)
+        assert aw_raw(1e3, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_unclamped_integral_is_two(self):
         rng = np.random.default_rng(8)
@@ -72,65 +69,77 @@ class TestAwValue:
             vals = aw_raw(d, sigma, spread)
             assert np.all(np.diff(vals) < 0.0)
 
+    def test_gaussian_term_is_zero_past_square_overflow(self):
+        # d ** 2 overflows to inf; exp(-inf) = 0 leaves only the tail term
+        assert aw_raw(1e200, 1.0, math.inf) == 0.0
+        assert aw_raw(1e200, 1.0, 1e200) == pytest.approx(math.exp(-1.0) / 1e200)
+
 
 class TestUpdateWeights:
     def test_hand_values(self):
-        ws = init_weights(3)
-        update_weights(ws, np.array([0.0, 1.0, 2.0]))
-        assert (ws.M, ws.m) == (2.0, 0.0)
-        assert ws.alpha[0] == 1.0  # raw 1.2979 clamped
-        assert ws.alpha[1] == pytest.approx(0.7872067788946034)
-        assert ws.alpha[2] == pytest.approx(0.2919216536120973)
+        alpha = update_weights(np.array([0.0, 1.0, 2.0]), all_active(3), 1.0)
+        assert alpha[0] == 1.0  # raw 1.2979 clamped
+        assert alpha[1] == pytest.approx(0.7872067788946034)
+        assert alpha[2] == pytest.approx(0.2919216536120973)
 
     def test_signed_input_uses_magnitude(self):
-        ws = init_weights(3)
-        update_weights(ws, np.array([0.0, -1.0, -2.0]))
-        assert ws.alpha[1] == pytest.approx(0.7872067788946034)
+        alpha = update_weights(np.array([0.0, -1.0, -2.0]), all_active(3), 1.0)
+        assert alpha[1] == pytest.approx(0.7872067788946034)
 
     def test_equal_distances_fall_back_to_gaussian_term(self):
-        ws = init_weights(4)
-        update_weights(ws, np.full(4, 1.5))
+        alpha = update_weights(np.full(4, 1.5), all_active(4), 1.0)
         expected = min(GAUSS0 * math.exp(-1.5 ** 2 / 2.0), 1.0)
-        np.testing.assert_allclose(ws.alpha, expected)
-        assert ws.M == ws.m == 1.5
+        np.testing.assert_allclose(alpha, expected)
 
     def test_closer_samples_weigh_more(self):
-        ws = init_weights(2)
-        update_weights(ws, np.array([0.0, 10.0]))
-        assert ws.alpha[0] > ws.alpha[1]
+        alpha = update_weights(np.array([0.0, 10.0]), all_active(2), 1.0)
+        assert alpha[0] > alpha[1]
 
     def test_inactive_pinned_to_zero(self):
-        ws = init_weights(3)
-        ws.active[1] = False
-        update_weights(ws, np.array([0.5, 0.1, 1.0]))
-        assert ws.alpha[1] == 0.0
+        active = np.array([True, False, True])
+        alpha = update_weights(np.array([0.5, 0.1, 1.0]), active, 1.0)
+        assert alpha[1] == 0.0
+
+    def test_inactive_distances_do_not_set_the_spread(self):
+        # the inactive 100.0 would widen M - m from 1 to 100
+        active = np.array([True, True, False])
+        alpha = update_weights(np.array([0.0, 1.0, 100.0]), active, 1.0)
+        np.testing.assert_array_equal(
+            alpha, update_weights(np.array([0.0, 1.0, 0.5]), active, 1.0))
+        assert alpha[1] == pytest.approx(0.7978845608028654 * math.exp(-0.5) + math.exp(-1.0))
+
+    def test_no_active_sample_is_error(self):
+        with pytest.raises(ValueError, match="no active samples"):
+            update_weights(np.zeros(2), np.zeros(2, dtype=bool), 1.0)
+
+    def test_misaligned_distances_are_error(self):
+        with pytest.raises(ValueError, match="one distance per sample"):
+            update_weights(np.zeros(3), all_active(2), 1.0)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(distances_and_mask(), st.floats(1e-3, 1e3))
     def test_weights_stay_in_unit_interval(self, case, sigma):
         d, active = case
-        ws = init_weights(len(d), sigma=sigma)
-        ws.active = active
-        update_weights(ws, d)
-        assert np.all((ws.alpha >= 0.0) & (ws.alpha <= 1.0))
-        assert np.all(ws.alpha[~active] == 0.0)
+        alpha = update_weights(d, active, sigma)
+        assert np.all((alpha >= 0.0) & (alpha <= 1.0))
+        assert np.all(alpha[~active] == 0.0)
 
-    @pytest.mark.parametrize("d", [[1e-310, 1e-310 + 5e-324], [1e-300, 1e-300 * (1 + 2**-52)]])
+    @pytest.mark.parametrize("d", [[1e-310, 1e-310 + 5e-324], [1e-300, 1e-300 * (1 + 2**-52)],
+                                   [0.0, 2.2250738585072014e-309]])
     def test_subnormal_spread_gives_unit_interval_weights(self, d):
         # M - m is subnormal, so 1/(M-m) overflows to inf
-        ws = update_weights(init_weights(2), np.array(d))
-        assert 0.0 < ws.M - ws.m < 2.3e-308
-        assert np.all((ws.alpha >= 0.0) & (ws.alpha <= 1.0))
+        assert 0.0 < d[1] - d[0] < 2.3e-308
+        alpha = update_weights(np.array(d), all_active(2), 1.0)
+        assert np.all((alpha >= 0.0) & (alpha <= 1.0))
 
     def test_max_weight_sits_at_min_distance(self):
         # value equality: several weights may tie at the clamp ceiling
         rng = np.random.default_rng(10)
         for _ in range(30):
             n = int(rng.integers(2, 40))
-            ws = init_weights(n)
             d = rng.uniform(0.0, 5.0, size=n)
-            update_weights(ws, d)
-            assert ws.alpha[np.argmin(np.abs(d))] == ws.alpha.max()
+            alpha = update_weights(d, all_active(n), 1.0)
+            assert alpha[np.argmin(np.abs(d))] == alpha.max()
 
 
 class TestDetectNoise:
