@@ -3,12 +3,15 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+from scipy import sparse
 
 from awwsvm import optimizers
+from awwsvm.data import Dataset
 from awwsvm.objective import ObjectiveConfig, WeightMode
 from awwsvm.optimizers import (CURVATURE_FLOOR, MAX_DENSE_H_BYTES, QuasiNewtonState,
                                ScheduleKind, StepSchedule, bfgs_inverse_update, obfgs_step,
                                onaq_step, sgd_step)
+from awwsvm.trainer import Optimizer, TrainConfig, train
 
 REG = ObjectiveConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
 
@@ -131,9 +134,9 @@ class TestBfgsInverseUpdate:
         assert out is H
         assert not np.array_equal(H, np.eye(3))
 
-    # 16 rows per block at d = 2001, so its last block is one row; up to
-    # d = 181 the whole matrix is one block
-    @pytest.mark.parametrize("d", [1, 2, 3, 180, 181, 182, 2001])
+    # up to d = 128 the whole matrix is one block, d = 129 takes two; 8 rows
+    # per block at d = 2001, so its last block is one row
+    @pytest.mark.parametrize("d", [1, 2, 3, 128, 129, 2001])
     @pytest.mark.parametrize("start", ["eps_identity", "random_spd"])
     def test_bitwise_equal_to_outer_product_form(self, d, start):
         rng = np.random.default_rng(d)
@@ -153,8 +156,8 @@ class TestBfgsInverseUpdate:
             H = bfgs_inverse_update(H, s, y)
             np.testing.assert_array_equal(_bits(H), _bits(ref))
 
-    def test_allocates_no_dense_temporary(self):
-        d = 1024
+    @pytest.mark.parametrize("d", [1024, 2001])
+    def test_allocates_no_dense_temporary(self, d):
         rng = np.random.default_rng(5)
         H = np.eye(d)
         s = rng.normal(size=d)
@@ -203,6 +206,35 @@ def _outer_product_update(H, s, y):
     u = H @ y
     cross = np.outer(s, u) + np.outer(u, s)
     return H - rho * cross + (rho * rho * float(y @ u) + rho) * np.outer(s, s)
+
+
+@pytest.mark.parametrize("opt", [Optimizer.OBFGS, Optimizer.ONAQ], ids=lambda o: o.value)
+def test_training_bytes_match_outer_product_form(monkeypatch, opt):
+    # d_aug = 300 gives six row blocks per update; both runs share this
+    # process, so H @ y runs on the same number of BLAS threads
+    rng = np.random.default_rng(300)
+    X = sparse.random(240, 299, density=0.05, format="csr", random_state=rng)
+    y = np.where(X @ rng.normal(size=299) + 0.1 * rng.normal(size=240) >= 0, 1, -1)
+    train_ds, eval_ds = Dataset(X[:160], y[:160]), Dataset(X[160:], y[160:])
+    cfg = TrainConfig(optimizer=opt, adaptive=True, outer_iters=3, inner_iters=4,
+                      batch_size=16, seed=5)
+    model, rounds = train(train_ds, eval_ds, cfg)
+    calls = []
+
+    def reference(H, s, y):
+        calls.append(len(s))
+        return _outer_product_update(H, s, y)
+
+    monkeypatch.setattr(optimizers, "bfgs_inverse_update", reference)
+    ref_model, ref_rounds = train(train_ds, eval_ds, cfg)
+    assert calls and set(calls) == {300}
+    np.testing.assert_array_equal(_bits(np.append(model.w, model.b)),
+                                  _bits(np.append(ref_model.w, ref_model.b)))
+    assert [_row_bits(r) for r in rounds] == [_row_bits(r) for r in ref_rounds]
+
+
+def _row_bits(row):
+    return {k: np.float64(v).tobytes() for k, v in row.items()}
 
 
 def test_dense_h_above_bound_refused_before_allocating():
