@@ -457,8 +457,7 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_libsvm(ds, str(out))
     print(f"wrote {len(ds)} samples to {out}")
     return 0

@@ -289,13 +289,6 @@ def save_libsvm(ds: Dataset, path: str) -> None:
         fh.writelines(_libsvm_chunks(ds))
 
 
-def imbalance_ratio(ds: Dataset) -> float:
-    """Majority count over minority count; undefined if a class is empty."""
-    if ds.n_pos == 0 or ds.n_neg == 0:
-        raise ValueError("imbalance ratio undefined: one class is empty")
-    return max(ds.n_pos, ds.n_neg) / min(ds.n_pos, ds.n_neg)
-
-
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified train/test split, deterministic under ``seed``.
 
@@ -345,38 +338,6 @@ def synth_two_gaussians(n_pos: int, n_neg: int, separation: float,
     X = sparse.csr_matrix((points.ravel(), np.tile([0, 1], n), np.arange(0, 2 * n + 1, 2)),
                           shape=(n, 2))
     return Dataset(X=X, y=labels)
-
-
-def minmax_scale(ds: Dataset) -> Dataset:
-    """Rescale every feature to [0,1] over the dataset (implicit zeros count).
-
-    Off by default in training; rescaling changes the learned model. Entries
-    whose scaled value is nonzero are materialized, so sparse data may grow.
-    """
-    X = ds.X
-    n, dim = X.shape
-    seen = np.bincount(X.indices, minlength=dim)
-    lo = np.full(dim, np.inf)
-    hi = np.full(dim, -np.inf)
-    np.minimum.at(lo, X.indices, X.data)
-    np.maximum.at(hi, X.indices, X.data)
-    implicit = seen < n
-    lo[implicit] = np.minimum(lo[implicit], 0.0)
-    hi[implicit] = np.maximum(hi[implicit], 0.0)
-    lo[seen == 0] = 0.0
-    hi[seen == 0] = 0.0
-    span = hi - lo
-    # densify a bounded number of rows at a time; range(0, 1) still yields
-    # the (0, dim) block of an empty dataset
-    rows = max(1, 2**20 // max(dim, 1))
-    blocks = []
-    for start in range(0, max(n, 1), rows):
-        dense = X[start:start + rows].toarray()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(span > 0, (dense - lo) / np.where(span > 0, span, 1.0), 0.0)
-        blocks.append(sparse.csr_matrix(vals))
-    return Dataset(X=sparse.vstack(blocks, format="csr"), y=ds.y.copy(),
-                   label_map=dict(ds.label_map))
 
 
 class RowBatch:

@@ -8,11 +8,15 @@ hinge loss. With all weights equal to 1 the two coincide.
 
 Vectors are expected in augmented form (bias as the last component) but the
 functions are agnostic to that convention.
+
+``loss`` and ``subgradient`` check nothing: they expect a non-empty float64
+batch and weights in [0, 1] without NaN. ``train()`` guarantees both through
+its sampler and its weights, made from distances it checks to be finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,18 +43,8 @@ def _margins(w: np.ndarray, X, y: np.ndarray) -> np.ndarray:
     return y * (np.asarray(X @ w).ravel())
 
 
-def _check_batch(y: np.ndarray, alpha: np.ndarray) -> None:
-    if len(y) == 0:
-        raise ValueError("empty batch")
-    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):  # NaN fails both
-        raise ValueError("weights must lie in [0, 1]")
-
-
 def loss(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg: ObjectiveConfig) -> float:
     """Batch-mean weighted soft-margin objective value."""
-    y = np.asarray(y, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    _check_batch(y, alpha)
     hinge = np.maximum(0.0, 1.0 - _margins(w, X, y))
     sq = float(w @ w)
     if cfg.weight_mode is WeightMode.REGULARIZER:
@@ -60,9 +54,6 @@ def loss(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg: ObjectiveConfi
 
 def subgradient(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg: ObjectiveConfig) -> np.ndarray:
     """Batch-mean subgradient; at a margin of exactly 1 the hinge contributes 0."""
-    y = np.asarray(y, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    _check_batch(y, alpha)
     k = len(y)
     viol = _margins(w, X, y) < 1.0
     if cfg.weight_mode is WeightMode.REGULARIZER:

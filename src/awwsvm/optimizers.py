@@ -7,6 +7,10 @@ minibatch, and feed the damped difference pair into the inverse rank-two
 update. The damping term lambda*s added to the gradient difference keeps the
 curvature product positive on most steps; a relative curvature floor guards
 the remaining ones, skipping the matrix update but keeping the step.
+
+The steps and ``QuasiNewtonState.initial`` check nothing but the dense-H size:
+they expect a batch fit for ``objective.subgradient`` and finite eps_h > 0,
+damping >= 0 and 0 <= mu < 1, which ``train()`` and ``TrainConfig`` guarantee.
 """
 
 from __future__ import annotations
@@ -76,12 +80,6 @@ class QuasiNewtonState:
 
     @classmethod
     def initial(cls, dim: int, eps_h: float = 1.0, damping: float = 0.2, mu: float = 0.1) -> "QuasiNewtonState":
-        if eps_h <= 0:
-            raise ValueError("eps_h must be positive")
-        if damping < 0:
-            raise ValueError("damping must be nonnegative")
-        if not 0.0 <= mu < 1.0:
-            raise ValueError(f"mu must lie in [0,1), got {mu}")
         need = dim * dim * 8
         if need > MAX_DENSE_H_BYTES:
             raise MemoryError(f"a dense {dim} x {dim} inverse Hessian needs {need / 2**30:.2f} GiB, "
@@ -166,8 +164,6 @@ def onaq_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: n
     The first gradient is taken at the lookahead point w + mu*v; the curvature
     pair is formed between the new iterate and the lookahead point.
     """
-    if not 0.0 <= state.mu < 1.0:
-        raise ValueError(f"mu must lie in [0,1), got {state.mu}")
     return _qn_step(w, state, X, y, alpha, cfg, schedule, state.mu)
 
 

@@ -37,7 +37,7 @@ class Optimizer(Enum):
 
 class TrainingError(RuntimeError):
     """Training cannot proceed (e.g. noise elimination emptied a class, the
-    weights diverged, or the dense inverse Hessian would be too large)."""
+    weights or distances overflowed, or the dense inverse Hessian is too large)."""
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,8 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
             geo_norm = float(np.linalg.norm(model.w))
             if geo_norm > 0.0:
                 dist = decision_values(model, train_ds.X) / geo_norm
+                if not (np.isfinite(geo_norm) and np.isfinite(dist).all()):
+                    raise TrainingError(f"hyperplane distances overflowed in outer round {outer}")
                 flagged = detect_noise(dist, y, active, cfg.noise_mode, X=train_ds.X)
                 if flagged.size:
                     active[flagged] = False

@@ -18,6 +18,15 @@ def synth_file(tmp_path):
 
 
 @pytest.fixture()
+def flip_file(tmp_path):
+    """A flip-noise set on which ``--alpha0 1e300`` or more overflows the distances."""
+    path = tmp_path / "flip.libsvm"
+    assert main(["synth", "--n-pos", "60", "--n-neg", "140", "--flip", "0.05",
+                 "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.fixture()
 def wide_file(tmp_path):
     """Two rows whose largest feature index is 20,000."""
     path = tmp_path / "wide.libsvm"
@@ -161,6 +170,20 @@ class TestTrainCommand:
         rc = main(["train", "--data", str(synth_file), "--alpha0", "1e200", "--out", str(out)])
         assert rc == 2
         assert "non-finite value in outer round 1" in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
+
+    # round 1 overflows: at 1e308 the distances, at 1e300 ||w|| (so each distance
+    # would read 0 and noise elimination would flag every sample)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("alpha0", ["1e308", "1e300"])
+    def test_distance_overflow_is_usage_error_naming_round(self, flip_file, tmp_path, capsys,
+                                                           alpha0):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(flip_file), "--optimizer", "obfgs", "--adaptive",
+                   "--alpha0", alpha0, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: training aborted: hyperplane distances overflowed in outer round 1\n")
         assert not (out / "model.txt").exists()
 
     @pytest.mark.parametrize("optimizer, code", [("obfgs", 2), ("onaq", 2), ("sgd", 0)])
@@ -484,6 +507,18 @@ class TestExperimentCommand:
         assert rc == 1
         assert (out / "failures.txt").read_text() == (
             "ds0,aw+sgd,0,weights diverged to a non-finite value in outer round 1\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_cell_recorded_in_failures(self, flip_file, tmp_path):
+        manifest = _write_manifest(tmp_path, [{"path": str(flip_file)}],
+                                   [{"optimizer": "obfgs"},
+                                    {"optimizer": "obfgs", "adaptive": True, "alpha0": 1e300}],
+                                   seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 1
+        assert (out / "failures.txt").read_text() == (
+            "flip,aw+obfgs,0,hyperplane distances overflowed in outer round 1\n")
 
     def test_oversized_inverse_hessian_recorded_in_failures(self, wide_file, tmp_path):
         manifest = _write_manifest(tmp_path, [{"path": str(wide_file), "test_path": str(wide_file)}],

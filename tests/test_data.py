@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, imbalance_ratio,
-                         minmax_scale, parse_libsvm, split, synth_two_gaussians, to_libsvm)
+from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, parse_libsvm, split,
+                         synth_two_gaussians, to_libsvm)
 
 
 class TestParse:
@@ -101,34 +101,6 @@ class TestRoundTrip:
             assert again.dim == ds.dim
 
 
-class TestImbalanceRatio:
-    def test_table_value(self):
-        samples = [Sample(features=((1, 1.0),), label=-1)] * 628 + \
-                  [Sample(features=((1, 1.0),), label=1)] * 100
-        assert imbalance_ratio(Dataset.from_samples(samples)) == pytest.approx(6.28)
-
-    def test_balanced_is_one(self):
-        ds = parse_libsvm("+1 1:1\n-1 1:2")
-        assert imbalance_ratio(ds) == 1.0
-
-    def test_direct_ratio(self):
-        samples = [Sample(features=((1, 1.0),), label=1)] * 10 + \
-                  [Sample(features=((1, 1.0),), label=-1)] * 40
-        assert imbalance_ratio(Dataset.from_samples(samples)) == 4.0
-
-    def test_empty_class_is_error(self):
-        ds = parse_libsvm("-1 1:1.0\n-1 2:1.0")
-        with pytest.raises(ValueError, match="empty"):
-            imbalance_ratio(ds)
-
-    def test_at_least_one(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n_pos, n_neg = int(rng.integers(1, 50)), int(rng.integers(1, 50))
-            ds = synth_two_gaussians(n_pos, n_neg, 2.0, 0.0, seed=0)
-            assert imbalance_ratio(ds) >= 1.0
-
-
 class TestSplit:
     @staticmethod
     def _dataset(n_maj, n_min):
@@ -175,7 +147,7 @@ class TestSynth:
 
     def test_imbalance(self):
         ds = synth_two_gaussians(425, 75, 3.0, 0.0, seed=0)
-        assert imbalance_ratio(ds) == pytest.approx(425 / 75)
+        assert (ds.n_pos, ds.n_neg) == (425, 75)
 
     def test_deterministic(self):
         a = synth_two_gaussians(30, 20, 2.0, 0.1, seed=9)
@@ -253,19 +225,3 @@ class TestMinibatchSampler:
         s.drop([1])
         with pytest.raises(ValueError, match="no active index"):
             s.drop([0, 2])
-
-
-class TestMinMaxScale:
-    def test_values_land_in_unit_interval(self):
-        ds = parse_libsvm("+1 1:2.0 2:-4.0\n-1 1:6.0 2:4.0\n+1 1:4.0")
-        scaled = minmax_scale(ds)
-        for s in scaled.samples:
-            for _, v in s.features:
-                assert 0.0 <= v <= 1.0
-
-    def test_implicit_zeros_count(self):
-        # feature 2 absent in the last sample: its implicit 0 is mid-range
-        ds = parse_libsvm("+1 2:-1.0\n-1 2:1.0\n+1 1:1.0")
-        scaled = minmax_scale(ds)
-        third = dict(scaled.samples[2].features)
-        assert third[2] == pytest.approx(0.5)

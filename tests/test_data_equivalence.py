@@ -1,9 +1,8 @@
 """The array-native data path against scalar reference copies of the
-per-sample code it replaced: the set-filter minibatch sampler, the
-line-by-line LIBSVM parser and writer, and the per-row min-max scaling. The
-references live here, so a change to the data path that alters a batch
-stream, an accepted dataset, a rejection message or a written file fails
-these tests."""
+per-sample code it replaced: the set-filter minibatch sampler and the
+line-by-line LIBSVM parser and writer. The references live here, so a change
+to the data path that alters a batch stream, an accepted dataset, a rejection
+message or a written file fails these tests."""
 
 import math
 
@@ -12,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, minmax_scale,
-                         parse_libsvm, to_libsvm)
+from awwsvm.data import Dataset, MinibatchSampler, ParseError, Sample, parse_libsvm, to_libsvm
 
 
 class SetFilterSampler:
@@ -85,33 +83,6 @@ def scalar_to_libsvm(samples: list[Sample]) -> str:
         parts.extend(f"{idx}:{val!r}" for idx, val in s.features)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def scalar_minmax(samples: list[Sample], dim: int) -> list[Sample]:
-    """Reference: per-feature bounds and one dense row per sample."""
-    lo, hi, seen = np.zeros(dim), np.zeros(dim), np.zeros(dim, dtype=np.int64)
-    for s in samples:
-        for idx, val in s.features:
-            j = idx - 1
-            lo[j] = val if seen[j] == 0 else min(lo[j], val)
-            hi[j] = val if seen[j] == 0 else max(hi[j], val)
-            seen[j] += 1
-    implicit = seen < len(samples)
-    lo[implicit] = np.minimum(lo[implicit], 0.0)
-    hi[implicit] = np.maximum(hi[implicit], 0.0)
-    lo[seen == 0] = 0.0
-    hi[seen == 0] = 0.0
-    span = hi - lo
-    out = []
-    for s in samples:
-        dense = np.zeros(dim)
-        for idx, val in s.features:
-            dense[idx - 1] = val
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(span > 0, (dense - lo) / np.where(span > 0, span, 1.0), 0.0)
-        feats = tuple((j + 1, float(vals[j])) for j in range(dim) if vals[j] != 0.0)
-        out.append(Sample(features=feats, label=s.label))
-    return out
 
 
 def scalar_to_matrix(samples: list[Sample], dim: int, augment: bool) -> sparse.csr_matrix:
@@ -280,10 +251,3 @@ class TestRoundTripProperty:
     def test_to_matrix_matches_reference(self, ds, dim, augment):
         want = scalar_to_matrix(ds.samples, ds.dim if dim is None else dim, augment)
         assert_same_csr(ds.to_matrix(dim=dim, augment=augment), want)
-
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(datasets())
-    def test_minmax_scale_matches_reference(self, ds):
-        scaled = minmax_scale(ds)
-        assert scaled.dim == ds.dim
-        assert scaled.samples == scalar_minmax(ds.samples, ds.dim)

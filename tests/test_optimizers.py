@@ -348,9 +348,15 @@ class TestOnaqStep:
         np.testing.assert_allclose(w2 - w, state.v)
         assert np.linalg.norm(state.v - 0.4 * v1) == pytest.approx(0.1 / np.sqrt(2), rel=1e-9)
 
-    def test_invalid_momentum_rejected(self):
-        with pytest.raises(ValueError):
-            QuasiNewtonState.initial(2, mu=1.0)
+    # QuasiNewtonState.initial trusts these; TrainConfig rejects them when it is built
+    @pytest.mark.parametrize("key, value, message", [
+        ("mu", 1.0, r"^mu must lie in \[0,1\), got 1.0$"),
+        ("eps_h", 0.0, r"^eps_h must be positive, got 0.0$"),
+        ("damping", -1.0, r"^lambda \(damping\) must be nonnegative, got -1.0$"),
+    ], ids=["mu", "eps_h", "damping"])
+    def test_invalid_state_setting_rejected_by_train_config(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(optimizer=Optimizer.ONAQ, **{key: value})
 
 
 class TestStatePersistence:
