@@ -12,9 +12,10 @@ dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import io
 import math
-import re
-from typing import Iterator, NoReturn
+from typing import Iterator
+import warnings
 
 import numpy as np
 from scipy import sparse
@@ -130,11 +131,27 @@ class Dataset:
                                  shape=(len(self), dim + 1 if augment else dim))
 
 
-# lines parsed per bulk conversion, and rows formatted per written chunk
+# lines parsed per block, and rows formatted per written chunk
 _BLOCK_LINES = 4096
 _INT64_MAX = np.iinfo(np.int64).max
-# a feature token holding more than one ':' (tokens are joined with ' ')
-_TWO_COLONS = re.compile(r":[^ ]*:")
+# one idx:val feature token, as a line of numpy's C text reader
+_FEATURE = np.dtype([("i", np.int64), ("v", np.float64)])
+
+
+def _c_reader_ints_are_strict() -> bool:
+    """Whether numpy's C text reader refuses an int64 field such as ``1.0``,
+    as ``int()`` does; numpy releases that parse it through float64 instead
+    (with a DeprecationWarning) leave every block to ``_parse_lines``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(io.StringIO("1.0"), dtype=np.int64, ndmin=1)
+        except ValueError:
+            return True
+    return False
+
+
+_C_READER = _c_reader_ints_are_strict()
 
 
 def parse_libsvm(text: str) -> Dataset:
@@ -145,21 +162,24 @@ def parse_libsvm(text: str) -> Dataset:
     indices, or more than two distinct labels. An input with no samples is
     an error.
 
-    Lines are converted a block at a time with numpy, whose int64/float64
-    conversion of a ``str`` is Python's ``int()``/``float()``. When a block
-    fails any check, ``_raise_first_error`` rescans it line by line to name
-    the first offending line.
+    Lines are parsed a block at a time. Labels go through ``float()``; the
+    feature tokens go through numpy's C text reader (``np.loadtxt``), one
+    token per line. Its int64 field takes ASCII digits with an optional sign
+    and refuses anything else; its float64 field is converted by
+    ``PyOS_string_to_double``, as in ``float()``. So every token it accepts
+    gets the value ``int()``/``float()`` give. A block whose tokens hold
+    non-ASCII text, that the reader refuses or that fails a check is parsed
+    again by ``_parse_lines`` with ``int()`` and ``float()``: it accepts what
+    those accept (``1_0``, non-ASCII digits) and otherwise names the first
+    offending line.
     """
     lines = text.splitlines()
     observed: set[int] = set()
     blocks = []
     for start in range(0, len(lines), _BLOCK_LINES):
         chunk = lines[start:start + _BLOCK_LINES]
-        block = _parse_block(chunk)
-        seen = observed.union(np.unique(block[0]).tolist()) if block is not None else observed
-        if block is None or len(seen) > 2:
-            _raise_first_error(chunk, start + 1, observed)
-        observed = seen
+        block = _parse_block(chunk, observed) or _parse_lines(chunk, start + 1, observed)
+        observed.update(block[0].tolist())
         blocks.append(block)
     if not observed:
         raise ParseError("empty dataset: no samples found")
@@ -175,45 +195,62 @@ def parse_libsvm(text: str) -> Dataset:
     return Dataset(X=X, y=y, label_map=label_map)
 
 
-def _parse_block(lines: list[str]):
+def _parse_block(lines: list[str], observed: set[int]):
     """(labels, features per row, 0-based columns, values) of the nonempty
-    lines, or None when any line is malformed."""
+    lines, or None when the C reader refuses a token or any check fails;
+    ``observed`` holds the labels of earlier blocks."""
+    if not _C_READER:
+        return None
     label_toks: list[str] = []
     counts: list[int] = []
-    feat_toks: list[str] = []
+    rests: list[str] = []
     for line in lines:
         if "#" in line:
             line = line[:line.index("#")]
-        tokens = line.split()
-        if tokens:
-            label_toks.append(tokens[0])
-            counts.append(len(tokens) - 1)
-            feat_toks += tokens[1:]
-    # a well-formed token is idx:val, so each holds exactly one ':'
-    joined = " ".join(feat_toks)
-    if joined.count(":") != len(feat_toks) or _TWO_COLONS.search(joined):
+        parts = line.split(None, 1)
+        if parts:
+            label_toks.append(parts[0])
+            rest = parts[1] if len(parts) == 2 else ""
+            counts.append(rest.count(":"))
+            rests.append(rest)
+    # within a line, ASCII whitespace is ' ', '\t' or '\x1f': breaking the
+    # lines there puts one token on each nonempty line, and the reader skips
+    # empty ones. Text beyond ASCII is left to _parse_lines.
+    text = "\n".join(rests)
+    if not text.isascii():
         return None
-    parts = joined.replace(":", " ").split(" ") if feat_toks else []
+    text = text.replace(" ", "\n").replace("\t", "\n").replace("\x1f", "\n")
     try:
-        labels = np.array(label_toks, dtype=np.float64)
-        idx = np.array(parts[0::2], dtype=np.int64)
-        vals = np.array(parts[1::2], dtype=np.float64)
-    except (ValueError, OverflowError):
+        labels = np.fromiter(map(float, label_toks), np.float64, len(label_toks))
+        feats = (np.loadtxt(io.StringIO(text), dtype=_FEATURE, delimiter=":",
+                            comments=None, quotechar=None, ndmin=1)
+                 if text.strip() else np.empty(0, dtype=_FEATURE))  # no data warns
+    except ValueError:
         return None
+    idx, vals = feats["i"], feats["v"]
     counts_arr = np.array(counts, dtype=np.int64)
     # the first token of each row has no predecessor to ascend from
     follows = np.ones(len(idx), dtype=bool)
     follows[(np.cumsum(counts_arr) - counts_arr)[counts_arr > 0]] = False
-    if not (np.isin(labels, (-1, 0, 1, 2)).all() and (idx >= 1).all()
-            and np.isfinite(vals).all() and (np.diff(idx) > 0)[follows[1:]].all()):
+    if not (len(idx) == counts_arr.sum() and np.isin(labels, (-1, 0, 1, 2)).all()
+            and (idx >= 1).all() and np.isfinite(vals).all()
+            and (np.diff(idx) > 0)[follows[1:]].all()):
         return None
-    return labels.astype(np.int64), counts_arr, idx - 1, vals
+    labels = labels.astype(np.int64)
+    if len(observed.union(np.unique(labels).tolist())) > 2:
+        return None
+    return labels, counts_arr, idx - 1, vals
 
 
-def _raise_first_error(lines: list[str], first_lineno: int, observed: set[int]) -> NoReturn:
-    """Raise the ParseError naming the first malformed line of a block that
-    ``_parse_block`` rejected; ``observed`` holds the labels of earlier blocks."""
+def _parse_lines(lines: list[str], first_lineno: int, observed: set[int]):
+    """The block's arrays as ``_parse_block`` returns them, parsed line by line
+    with ``int()`` and ``float()``; raises the ParseError naming the first
+    malformed line. ``observed`` holds the labels of earlier blocks."""
     seen = set(observed)
+    labels: list[int] = []
+    counts: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
     for lineno, line in enumerate(lines, start=first_lineno):
         tokens = line.split("#", 1)[0].split()
         if not tokens:
@@ -244,8 +281,12 @@ def _raise_first_error(lines: list[str], first_lineno: int, observed: set[int]) 
             if idx <= prev:
                 raise ParseError(f"line {lineno}: non-ascending feature index {idx} after {prev}")
             prev = idx
-    raise RuntimeError(f"lines {first_lineno}-{first_lineno + len(lines) - 1}: "
-                       "rejected in bulk but not line by line")
+            cols.append(idx - 1)
+            vals.append(val)
+        labels.append(int(label))
+        counts.append(len(tokens) - 1)
+    return (np.array(labels, dtype=np.int64), np.array(counts, dtype=np.int64),
+            np.array(cols, dtype=np.int64), np.array(vals, dtype=np.float64))
 
 
 def _label_mapping(observed: set[int]) -> dict[int, int]:

@@ -37,7 +37,8 @@ class Optimizer(Enum):
 
 class TrainingError(RuntimeError):
     """Training cannot proceed (e.g. noise elimination emptied a class, the
-    weights or distances overflowed, or the dense inverse Hessian is too large)."""
+    weights, distances or objective overflowed, or the dense inverse Hessian
+    is too large)."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,22 @@ class TrainConfig:
         if self.optimizer is Optimizer.OBFGS:
             return StepSchedule(ScheduleKind.TAU_DECAY, alpha0=self.alpha0, tau=self.tau)
         return StepSchedule(ScheduleKind.SQRT_DECAY, alpha0=self.alpha0)
+
+
+class _ActiveRows:
+    """Rows ``keep`` of a CSR matrix as ``loss`` reads them, without copying
+    them: ``@ w`` takes one product over all rows and keeps its ``keep``
+    entries. Each row sum is scipy's ``csr_matvec`` either way, so the result
+    equals ``X[keep] @ w`` bit for bit."""
+
+    __slots__ = ("X", "keep", "shape")
+
+    def __init__(self, X, keep: np.ndarray):
+        self.X, self.keep = X, keep
+        self.shape = (int(np.count_nonzero(keep)), X.shape[1])
+
+    def __matmul__(self, w: np.ndarray) -> np.ndarray:
+        return (self.X @ w)[self.keep]
 
 
 RESULTS_COLUMNS = ["dataset", "method", "seed", "outer_iter", "accuracy", "precision",
@@ -157,12 +174,16 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
             # a zero geometric norm leaves distances undefined; keep the
             # current weights and mask for this round
 
-        rep = report(confusion_from_predictions(y_eval, predict(model, X_eval)))
         a_act = alpha[active]
+        train_loss = loss(w, _ActiveRows(X, active), y[active], a_act, cfg.objective)
+        if not np.isfinite(train_loss):
+            raise TrainingError(
+                f"objective value {train_loss} is not finite in outer round {outer}")
+        rep = report(confusion_from_predictions(y_eval, predict(model, X_eval)))
         rounds.append({
             "outer_iter": outer,
             **{col: getattr(rep, col) for col in METRIC_COLUMNS},
-            "train_loss": loss(w, X[active], y[active], a_act, cfg.objective),
+            "train_loss": train_loss,
             "n_noise": int(np.sum(~active)),
             "alpha_min": float(a_act.min()),
             "alpha_mean": float(a_act.mean()),

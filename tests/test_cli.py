@@ -186,6 +186,18 @@ class TestTrainCommand:
             "error: training aborted: hyperplane distances overflowed in outer round 1\n")
         assert not (out / "model.txt").exists()
 
+    # a bare run checks no distances; ||w||^2 in the objective overflows, so
+    # the run used to exit 0 with train_loss inf in every history row
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_objective_overflow_is_usage_error_naming_round(self, flip_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(flip_file), "--optimizer", "obfgs", "--no-adaptive",
+                   "--alpha0", "1e300", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: training aborted: objective value inf is not finite in outer round 1\n")
+        assert not (out / "model.txt").exists()
+
     @pytest.mark.parametrize("optimizer, code", [("obfgs", 2), ("onaq", 2), ("sgd", 0)])
     def test_oversized_inverse_hessian_is_usage_error(self, wide_file, tmp_path, capsys,
                                                       optimizer, code):

@@ -5,12 +5,14 @@ to the data path that alters a batch stream, an accepted dataset, a rejection
 message or a written file fails these tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from awwsvm import data
 from awwsvm.data import Dataset, MinibatchSampler, ParseError, Sample, parse_libsvm, to_libsvm
 
 
@@ -172,6 +174,7 @@ class TestParserMatchesScalarReference:
     @pytest.mark.parametrize("bad", [
         "+1 1:2:3 4", "+1 1:", "+1 :1", "+1 1::2", "+1 1:0x10", "+1 1.0:1",
         "+1 2:1 2:1", "1:2 3", "+1 0:nan", "+1 1:1e400", "5 1:1", "+1 1:1 x",
+        "+1 1\t:2", "+1 1\x1f:2", "+1 1\xa0:2",
     ])
     def test_rejection_message_and_line(self, bad):
         text = f"-1 1:1\n# comment\n{bad}\n+1 2:1\n"
@@ -219,6 +222,91 @@ class TestParserMatchesScalarReference:
         max_size=8))
     def test_fuzzed_text_matches(self, lines):
         assert_parses_like_reference("\n".join(lines))
+
+
+def c_reader_only(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Fail if any block leaves numpy's C text reader for the scalar parse."""
+    def refuse(lines, first_lineno, observed):
+        raise AssertionError(f"block at line {first_lineno} took the scalar parse")
+    monkeypatch.setattr(data, "_parse_lines", refuse)
+
+
+# finite doubles as text: repr (shortest round-trip, incl. -0.0, subnormals
+# and exponent forms), and fixed-precision formats of values that cannot
+# round up to inf
+value_texts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-2.3e-308, 2.3e-308).map(repr),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308]).map(repr),
+    st.builds(format, st.floats(-1e300, 1e300),
+              st.sampled_from([".17e", ".3E", ".6g", ".20g", "+.12e", ".0f"])),
+)
+
+
+@st.composite
+def numeric_texts(draw):
+    """Well-formed LIBSVM text: indices up to 10**18, written plain, signed
+    or zero-padded, values from ``value_texts``, and any ASCII whitespace
+    between tokens."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        feats = [draw(st.sampled_from(["{}", "+{}", "00{}"])).format(i) + ":" + draw(value_texts)
+                 for i in sorted(draw(st.sets(st.integers(1, 10**18), max_size=5)))]
+        sep = draw(st.sampled_from([" ", "\t", "\x1f", "  ", " \t"]))
+        lines.append(sep.join([draw(st.sampled_from(["+1", "-1", "1.0"])), *feats]))
+    return "\n".join(lines)
+
+
+SEPARATORS = [" ", "\t", "\x1f", "\xa0", "\u3000", "\t "]
+
+
+class TestCReaderPath:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(numeric_texts())
+    def test_numbers_get_the_reference_bits(self, text):
+        with pytest.MonkeyPatch.context() as mp:
+            c_reader_only(mp)
+            assert_parses_like_reference(text)
+
+    def test_refused_tokens_in_a_later_block_parse_like_reference(self):
+        # int() and float() accept 1_0, 1_5 and Arabic-Indic digits; the C
+        # reader refuses them, so the second block takes the scalar parse
+        good = "+1 1:1 2:0.5\n" * 4500
+        text = good + "-1 1_0:2 11:1_5\n+1 \u0661:\u0663 12:1\n"
+        assert_parses_like_reference(text)
+        assert parse_libsvm(text).X[4500:].toarray()[:, [0, 9, 10, 11]].tolist() == [
+            [0.0, 2.0, 15.0, 0.0], [3.0, 0.0, 0.0, 1.0]]
+
+    def test_scalar_parse_alone_gives_the_same_dataset(self, monkeypatch):
+        text = "".join(f"{'+1' if i % 3 else '-1'} {i % 7 + 1}:{i / 7!r} 9:-0.0 {10 + i}:1e-320\n"
+                       for i in range(9000))
+        with pytest.MonkeyPatch.context() as mp:
+            c_reader_only(mp)
+            want = parse_libsvm(text)
+        # as on a numpy whose C reader parses an int64 field through float64
+        monkeypatch.setattr(data, "_C_READER", False)
+        assert_same_dataset(parse_libsvm(text), want)
+
+    # the block text breaks lines at ASCII whitespace; text holding any other
+    # character (Unicode spaces, a BOM, Arabic-Indic digits) takes the scalar parse
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.sampled_from(SEPARATORS),
+        st.builds(lambda i, a, b, v: f"{i}{a}:{b}{v}",
+                  st.sampled_from(["1", "2", "3", "\ufeff4", "\u0665"]),
+                  st.sampled_from(["", *SEPARATORS]), st.sampled_from(["", *SEPARATORS]),
+                  st.sampled_from(["1", "0.5", "\u0663"]))),
+        max_size=4), min_size=1, max_size=4))
+    def test_separators_split_like_str_split(self, lines):
+        assert_parses_like_reference("\n".join("+1" + "".join(sep + feat for sep, feat in line)
+                                                for line in lines))
+
+    def test_label_only_blocks_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = parse_libsvm("+1\n-1\n" * 3000)
+        assert len(ds) == 6000 and ds.X.nnz == 0 and ds.dim == 0
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """The minibatch row kernel against scipy: ``RowBatch.gather(X, idx)`` must
-give the products of ``X[idx]`` bit for bit, and a training run must build
+give the products of ``X[idx]`` bit for bit, as must the trainer's
+``_ActiveRows(X, keep)`` those of ``X[keep]``, and a training run must build
 no scipy matrix per optimizer step."""
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.sparse import _compressed
 
 from awwsvm.data import RowBatch, synth_two_gaussians
 from awwsvm.objective import ObjectiveConfig, WeightMode, loss, subgradient
-from awwsvm.trainer import Optimizer, TrainConfig, train
+from awwsvm.trainer import Optimizer, TrainConfig, _ActiveRows, train
 
 
 def assert_bitwise(got, want):
@@ -78,6 +79,16 @@ class TestRowBatchProducts:
         cfg = ObjectiveConfig(C=C, weight_mode=mode)
         assert_bitwise(subgradient(w, batch, y, alpha, cfg), subgradient(w, want, y, alpha, cfg))
         assert loss(w, batch, y, alpha, cfg) == loss(w, want, y, alpha, cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(csr_batches(), st.floats(0.0, 1.0))
+    def test_active_rows_product_equals_scipy_bitwise(self, case, keep_frac):
+        X, _, rng = case
+        keep = rng.random(X.shape[0]) < keep_frac
+        rows, want = _ActiveRows(X, keep), X[keep]
+        assert rows.shape == want.shape
+        w = spread_values(rng, X.shape[1])
+        assert_bitwise(rows @ w, want @ w)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_long_rows_of_a_2k_wide_set(self, index_dtype):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from awwsvm import trainer
 from awwsvm.data import Dataset, MinibatchSampler, Sample, synth_two_gaussians
 from awwsvm.objective import ObjectiveConfig, WeightMode
 from awwsvm.optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
@@ -174,6 +175,33 @@ class TestTrainLoop:
         train_ds, eval_ds = synth_pair
         with pytest.raises(TrainingError, match=r"non-finite value in outer round 1$"):
             train(train_ds, eval_ds, small_config(alpha0=1e200))
+
+    def test_train_loss_reads_the_active_rows_bitwise(self, monkeypatch):
+        # the loss of the active rows, taken from one product over all rows,
+        # equals the loss on a copy of those rows
+        real, sizes = trainer.loss, []
+
+        def spy(w, X, y, alpha, cfg):
+            got = real(w, X, y, alpha, cfg)
+            want = real(w, X.X[X.keep], y, alpha, cfg)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            sizes.append(X.shape[0])
+            return got
+
+        monkeypatch.setattr(trainer, "loss", spy)
+        train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
+        eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=101)
+        _, rounds = train(train_ds, eval_ds, TrainConfig(seed=0))
+        assert sizes == [len(train_ds) - r["n_noise"] for r in rounds]
+        assert sizes[-1] < len(train_ds)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_objective_overflow_raises_naming_round(self):
+        # bare, so no distance check runs; ||w||^2 overflows in the objective
+        ds = synth_two_gaussians(60, 140, 4.0, 0.05, seed=3)
+        cfg = TrainConfig(optimizer=Optimizer.OBFGS, adaptive=False, alpha0=1e300, seed=0)
+        with pytest.raises(TrainingError, match=r"^objective value inf is not finite in outer round 1$"):
+            train(ds, ds, cfg)
 
     def test_rawdot_noise_mode_runs_end_to_end(self):
         from awwsvm.weighting import NoiseMode
