@@ -257,10 +257,8 @@ def _coerce_entry(entry: dict, where: str) -> dict:
 def _entry_config(values: dict, where: str) -> TrainConfig:
     """The TrainConfig of manifest ``values`` over the defaults; a value that
     fails validation is a usage error naming its entry."""
-    merged = {k: default for k, (_, default) in CONFIG_SCHEMA.items()}
-    merged.update((k, v) for k, v in values.items() if k != "preset")
     try:
-        return build_train_config(merged)
+        return build_train_config(resolve_config(values, {}))
     except CliError as exc:
         raise CliError(f"{where}: {exc}") from None
 
@@ -326,7 +324,7 @@ def cmd_experiment(args) -> int:
     (out / "resolved-manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    rows, failures = run_experiment(cells, jobs=args.jobs)
+    rows, failures = run_experiment(cells)
 
     (out / "results.csv").write_text(to_csv(rows, RESULTS_COLUMNS), encoding="utf-8")
     means = summary(rows)
@@ -483,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="sweep datasets x methods x seeds")
     p_exp.add_argument("--manifest", required=True, help="JSON manifest")
-    p_exp.add_argument("--jobs", type=int, default=1)
+    p_exp.add_argument("--jobs", type=int, default=1, help="must be >= 1; not used yet: cells "
+                       "run in order on one thread until worker processes take them")
     p_exp.add_argument("--out")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 import io
+import warnings
 
 import numpy as np
 
@@ -37,8 +38,8 @@ class Optimizer(Enum):
 
 class TrainingError(RuntimeError):
     """Training cannot proceed (e.g. noise elimination emptied a class, the
-    weights, distances or objective overflowed, or the dense inverse Hessian
-    is too large)."""
+    weights, their squared norm, the distances or the objective overflowed, or
+    the dense inverse Hessian is too large)."""
 
 
 @dataclass(frozen=True)
@@ -117,79 +118,89 @@ SUMMARY_COLUMNS = ["dataset", "method", "n_seeds", *METRIC_COLUMNS]
 def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[LinearModel, list[dict]]:
     """Run the full training loop; deterministic under ``cfg.seed``. Returns the
     final model and one row per outer round: ``outer_iter``, ``METRIC_COLUMNS`` on
-    ``eval_ds``, ``train_loss``, ``n_noise`` and the active ``alpha_{min,mean,max}``."""
-    if train_ds.n_pos == 0 or train_ds.n_neg == 0:
-        raise TrainingError("training set must contain both classes")
-    X = train_ds.to_matrix(augment=True)
-    y = train_ds.labels()
-    X_eval = eval_ds.to_matrix(dim=train_ds.dim)
-    y_eval = eval_ds.labels()
-    n, d_aug = X.shape
+    ``eval_ds``, ``train_loss``, ``n_noise`` and the active ``alpha_{min,mean,max}``.
 
-    w = np.zeros(d_aug)
-    alpha = init_weights(n)
-    active = np.ones(n, dtype=bool)  # False once flagged as noise, for the rest of the run
-    sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
-    schedule = cfg.schedule()
-    qn = None
-    if cfg.optimizer is not Optimizer.SGD:
-        try:
-            qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
-        except MemoryError as exc:
-            raise TrainingError(f"augmented dimension {d_aug}: {exc}; "
-                                "the sgd optimizer keeps no d x d state") from exc
-    sgd_k = 1
+    Warnings raised inside pass the active filters (``error`` still raises) and
+    are held back: dropped if the run raises, as its error names the cause, and
+    shown once it completes. Warning state is process-wide: never run ``train``
+    on two threads."""
+    with warnings.catch_warnings(record=True) as caught:
+        if train_ds.n_pos == 0 or train_ds.n_neg == 0:
+            raise TrainingError("training set must contain both classes")
+        X = train_ds.to_matrix(augment=True)
+        y = train_ds.labels()
+        X_eval = eval_ds.to_matrix(dim=train_ds.dim)
+        y_eval = eval_ds.labels()
+        n, d_aug = X.shape
 
-    rounds = []
-    for outer in range(1, cfg.outer_iters + 1):
-        for _ in range(cfg.inner_iters):
-            bidx = sampler.next_batch()
-            Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], alpha[bidx]
-            if cfg.optimizer is Optimizer.SGD:
-                w = sgd_step(w, Xb, yb, ab, cfg.objective, schedule, sgd_k)
-                sgd_k += 1
-            elif cfg.optimizer is Optimizer.OBFGS:
-                w = obfgs_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
-            else:
-                w = onaq_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
-        if not np.isfinite(w).all():
-            raise TrainingError(f"weights diverged to a non-finite value in outer round {outer}")
+        w = np.zeros(d_aug)
+        alpha = init_weights(n)
+        active = np.ones(n, dtype=bool)  # False once flagged as noise, for the rest of the run
+        sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
+        schedule = cfg.schedule()
+        qn = None
+        if cfg.optimizer is not Optimizer.SGD:
+            try:
+                qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
+            except MemoryError as exc:
+                raise TrainingError(f"augmented dimension {d_aug}: {exc}; "
+                                    "the sgd optimizer keeps no d x d state") from exc
+        sgd_k = 1
 
-        model = LinearModel.from_augmented(w, label_map=train_ds.label_map)
-        if cfg.adaptive:
-            geo_norm = float(np.linalg.norm(model.w))
-            if geo_norm > 0.0:
-                dist = decision_values(model, train_ds.X) / geo_norm
-                if not (np.isfinite(geo_norm) and np.isfinite(dist).all()):
-                    raise TrainingError(f"hyperplane distances overflowed in outer round {outer}")
-                flagged = detect_noise(dist, y, active, cfg.noise_mode, X=train_ds.X)
-                if flagged.size:
-                    active[flagged] = False
-                    for cls in (1, -1):
-                        if not np.any(active & (y == cls)):
-                            raise TrainingError(
-                                f"noise elimination removed every class {cls:+d} sample")
-                    sampler.drop(flagged)
-                alpha = update_weights(dist, active, cfg.sigma)
-            # a zero geometric norm leaves distances undefined; keep the
-            # current weights and mask for this round
+        rounds = []
+        for outer in range(1, cfg.outer_iters + 1):
+            for _ in range(cfg.inner_iters):
+                bidx = sampler.next_batch()
+                Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], alpha[bidx]
+                if cfg.optimizer is Optimizer.SGD:
+                    w = sgd_step(w, Xb, yb, ab, cfg.objective, schedule, sgd_k)
+                    sgd_k += 1
+                elif cfg.optimizer is Optimizer.OBFGS:
+                    w = obfgs_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
+                else:
+                    w = onaq_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
+            if not np.isfinite(w).all():
+                raise TrainingError(f"weights diverged to a non-finite value in outer round {outer}")
 
-        a_act = alpha[active]
-        train_loss = loss(w, _ActiveRows(X, active), y[active], a_act, cfg.objective)
-        if not np.isfinite(train_loss):
-            raise TrainingError(
-                f"objective value {train_loss} is not finite in outer round {outer}")
-        rep = report(confusion_from_predictions(y_eval, predict(model, X_eval)))
-        rounds.append({
-            "outer_iter": outer,
-            **{col: getattr(rep, col) for col in METRIC_COLUMNS},
-            "train_loss": train_loss,
-            "n_noise": int(np.sum(~active)),
-            "alpha_min": float(a_act.min()),
-            "alpha_mean": float(a_act.mean()),
-            "alpha_max": float(a_act.max()),
-        })
+            model = LinearModel.from_augmented(w, label_map=train_ds.label_map)
+            if cfg.adaptive:
+                geo_norm = float(np.linalg.norm(model.w))  # inf once ||w||^2 overflows
+                if not np.isfinite(geo_norm):
+                    raise TrainingError(f"squared weight norm overflowed in outer round {outer}")
+                if geo_norm > 0.0:
+                    dist = decision_values(model, train_ds.X) / geo_norm
+                    if not np.isfinite(dist).all():
+                        raise TrainingError(f"hyperplane distances overflowed in outer round {outer}")
+                    flagged = detect_noise(dist, y, active, cfg.noise_mode, X=train_ds.X)
+                    if flagged.size:
+                        active[flagged] = False
+                        for cls in (1, -1):
+                            if not np.any(active & (y == cls)):
+                                raise TrainingError(
+                                    f"noise elimination removed every class {cls:+d} sample")
+                        sampler.drop(flagged)
+                    alpha = update_weights(dist, active, cfg.sigma)
+                # a zero geometric norm leaves distances undefined; keep the
+                # current weights and mask for this round
 
+            a_act = alpha[active]
+            train_loss = loss(w, _ActiveRows(X, active), y[active], a_act, cfg.objective)
+            if not np.isfinite(train_loss):
+                raise TrainingError(
+                    f"objective value {train_loss} is not finite in outer round {outer}")
+            rep = report(confusion_from_predictions(y_eval, predict(model, X_eval)))
+            rounds.append({
+                "outer_iter": outer,
+                **{col: getattr(rep, col) for col in METRIC_COLUMNS},
+                "train_loss": train_loss,
+                "n_noise": int(np.sum(~active)),
+                "alpha_min": float(a_act.min()),
+                "alpha_mean": float(a_act.mean()),
+                "alpha_max": float(a_act.max()),
+            })
+
+    for msg in caught:
+        warnings.showwarning(msg.message, msg.category, msg.filename, msg.lineno, msg.file, msg.line)
     return model, rounds
 
 
@@ -233,24 +244,17 @@ def run_cell(name: str, train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig, s
     return rows + [{**rows[-1], "outer_iter": "final"}]
 
 
-def run_experiment(cells: list[tuple[str, Dataset, Dataset, TrainConfig, int]],
-                   jobs: int = 1) -> tuple[list[dict], list[dict]]:
-    """Run each ``(name, train_ds, eval_ds, cfg, seed)`` cell; returns the result
-    rows in cell order whatever ``jobs`` is, and one ``dataset, method, seed,
-    error`` dict per failed cell. A cell's failure does not abort the sweep."""
-    def compute(cell) -> tuple[list[dict], dict | None]:
-        name, tr, ev, cfg, seed = cell
+def run_experiment(cells: list[tuple[str, Dataset, Dataset, TrainConfig, int]]
+                   ) -> tuple[list[dict], list[dict]]:
+    """Run each ``(name, train_ds, eval_ds, cfg, seed)`` cell in order on the
+    calling thread; returns the result rows in cell order, and one ``dataset,
+    method, seed, error`` dict per failed cell. A cell's failure does not abort
+    the sweep."""
+    rows, failures = [], []
+    for name, tr, ev, cfg, seed in cells:
         try:
-            return run_cell(name, tr, ev, cfg, seed), None
+            rows.extend(run_cell(name, tr, ev, cfg, seed))
         except Exception as exc:  # noqa: BLE001 - sweep must survive any cell
-            return [], {"dataset": name, "method": cfg.method_name, "seed": seed, "error": str(exc)}
-
-    if jobs > 1 and len(cells) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(compute, cells))
-    else:
-        outputs = [compute(cell) for cell in cells]
-
-    return ([row for rows, _ in outputs for row in rows],
-            [failure for _, failure in outputs if failure is not None])
+            failures.append({"dataset": name, "method": cfg.method_name, "seed": seed,
+                             "error": str(exc)})
+    return rows, failures

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import awwsvm
 from awwsvm.cli import main
 from awwsvm.data import load_libsvm
 
@@ -172,7 +176,8 @@ class TestTrainCommand:
         assert "non-finite value in outer round 1" in capsys.readouterr().err
         assert not (out / "model.txt").exists()
 
-    # round 1 overflows: at 1e308 the distances, at 1e300 ||w|| (so each distance
+    # round 1 overflows ||w||^2, so np.linalg.norm reads inf: at 1e308 the
+    # decision values overflow too, at 1e300 they stay finite (so each distance
     # would read 0 and noise elimination would flag every sample)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("alpha0", ["1e308", "1e300"])
@@ -183,7 +188,7 @@ class TestTrainCommand:
                    "--alpha0", alpha0, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: training aborted: hyperplane distances overflowed in outer round 1\n")
+            "error: training aborted: squared weight norm overflowed in outer round 1\n")
         assert not (out / "model.txt").exists()
 
     # a bare run checks no distances; ||w||^2 in the objective overflows, so
@@ -197,6 +202,20 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (
             "error: training aborted: objective value inf is not finite in outer round 1\n")
         assert not (out / "model.txt").exists()
+
+    # numpy warns of the overflow on its way; in a fresh interpreter, under
+    # Python's default filters, the error line is all that is printed. Run
+    # in-process, pytest would capture the warnings and hide what a user sees.
+    def test_aborted_run_prints_only_the_error(self, flip_file, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(awwsvm.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "awwsvm.cli", "train", "--data", str(flip_file),
+             "--optimizer", "obfgs", "--alpha0", "1e300", "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: training aborted: objective value inf is not finite in outer round 1\n")
 
     @pytest.mark.parametrize("optimizer, code", [("obfgs", 2), ("onaq", 2), ("sgd", 0)])
     def test_oversized_inverse_hessian_is_usage_error(self, wide_file, tmp_path, capsys,
@@ -349,6 +368,28 @@ class TestExperimentCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not out.exists()
+
+    # cells run in order on one thread whatever --jobs is; the flag must not
+    # change a byte of what a run writes or prints
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_jobs_do_not_change_output(self, two_files, tmp_path, capsys, monkeypatch):
+        manifest = _write_manifest(tmp_path, [{"path": str(p)} for p in two_files],
+                                   [{"optimizer": "sgd"},
+                                    {"optimizer": "sgd", "adaptive": True, "alpha0": 1e200},
+                                    {"optimizer": "onaq", "adaptive": True}],
+                                   seeds=[0, 1])
+        runs = []
+        for jobs in ("1", "3"):
+            cwd = tmp_path / f"jobs{jobs}"  # relative --out: same paths in stdout and stderr
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            rc = main(["experiment", "--manifest", str(manifest), "--jobs", jobs, "--out", "exp"])
+            assert rc == 1
+            files = {name: Path("exp", name).read_bytes() for name in (
+                "results.csv", "summary.csv", "failures.txt", "resolved-manifest.json")}
+            runs.append((files, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert runs[0][0]["failures.txt"].count(b"\n") == 4  # the 1e200 cell, 2 sets x 2 seeds
 
     @pytest.mark.parametrize("section, entry, key", [
         ("methods", {"optimzer": "onaq", "adaptve": True}, "optimzer"),
@@ -530,7 +571,7 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 1
         assert (out / "failures.txt").read_text() == (
-            "flip,aw+obfgs,0,hyperplane distances overflowed in outer round 1\n")
+            "flip,aw+obfgs,0,squared weight norm overflowed in outer round 1\n")
 
     def test_oversized_inverse_hessian_recorded_in_failures(self, wide_file, tmp_path):
         manifest = _write_manifest(tmp_path, [{"path": str(wide_file), "test_path": str(wide_file)}],

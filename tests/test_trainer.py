@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,66 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match=r"^objective value inf is not finite in outer round 1$"):
             train(ds, ds, cfg)
 
+    # a tiny ||w|| with a large b: the norm is finite, b / ||w|| is not
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_distance_overflow_with_finite_norm_names_distances(self, synth_pair, monkeypatch):
+        real = trainer.LinearModel.from_augmented
+
+        def tiny_w(w_aug, label_map=None):
+            m = real(w_aug, label_map)
+            return trainer.LinearModel(m.w * 1e-150, 1e200, m.label_map)
+
+        monkeypatch.setattr(trainer.LinearModel, "from_augmented", staticmethod(tiny_w))
+        with pytest.raises(TrainingError,
+                           match=r"^hyperplane distances overflowed in outer round 1$"):
+            train(*synth_pair, small_config(adaptive=True))
+
+    def test_aborted_run_drops_its_warnings(self):
+        ds = synth_two_gaussians(60, 140, 4.0, 0.05, seed=3)
+        cfg = TrainConfig(optimizer=Optimizer.OBFGS, adaptive=False, alpha0=1e300, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match="objective value inf"):
+                train(ds, ds, cfg)
+        assert caught == []
+
+    @staticmethod
+    def _warn_in_loss(monkeypatch) -> list:
+        """Make each ``trainer.loss`` call warn; returns the list of calls."""
+        real, calls = trainer.loss, []
+
+        def noisy(*args):
+            calls.append(args)
+            warnings.warn("loss warning", RuntimeWarning)
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "loss", noisy)
+        return calls
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_completed_run_shows_its_warnings(self, synth_pair, monkeypatch):
+        self._warn_in_loss(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="^loss warning$") as record:
+            train(*synth_pair, small_config())
+        assert {w.filename for w in record} == {__file__}
+
+    # the filters decide once, inside: a warning shown only for its own module
+    # must not meet the catch-all error filter when it is shown after the run
+    def test_completed_run_keeps_the_filters_decision(self, synth_pair, monkeypatch):
+        self._warn_in_loss(monkeypatch)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("error")
+            warnings.filterwarnings("default", category=RuntimeWarning, module=__name__)
+            train(*synth_pair, small_config())
+        assert [str(w.message) for w in record] == ["loss warning"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_error_filter_still_raises_inside(self, synth_pair, monkeypatch):
+        calls = self._warn_in_loss(monkeypatch)
+        with pytest.raises(RuntimeWarning, match="^loss warning$"):
+            train(*synth_pair, small_config())
+        assert len(calls) == 1  # raised at the first warning, not after the run
+
     def test_rawdot_noise_mode_runs_end_to_end(self):
         from awwsvm.weighting import NoiseMode
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
@@ -220,11 +281,11 @@ class TestTrainLoop:
         assert [r["accuracy"] for r in r1] == [r["accuracy"] for r in r2]
 
 
-def _sweep(datasets, methods, seeds, jobs=1):
+def _sweep(datasets, methods, seeds):
     """run_experiment's (rows, failures) over the datasets x methods x seeds
     cross product."""
     return run_experiment([(name, tr, ev, cfg, seed) for name, tr, ev in datasets
-                           for cfg in methods for seed in seeds], jobs=jobs)
+                           for cfg in methods for seed in seeds])
 
 
 def _finals(rows):
@@ -257,12 +318,6 @@ class TestRunExperiment:
         b = to_csv(_sweep(datasets, methods, seeds=[0, 1])[0], RESULTS_COLUMNS)
         assert a == b
         assert a.splitlines()[0] == ",".join(RESULTS_COLUMNS)
-
-    def test_jobs_do_not_change_output(self):
-        datasets, methods = self._cells()
-        serial = to_csv(_sweep(datasets, methods, seeds=[0])[0], RESULTS_COLUMNS)
-        threaded = to_csv(_sweep(datasets, methods, seeds=[0], jobs=4)[0], RESULTS_COLUMNS)
-        assert serial == threaded
 
     def test_empty_methods_give_empty_table(self):
         datasets, _ = self._cells()
