@@ -11,8 +11,8 @@ from .data import (Dataset, MinibatchSampler, ParseError, Sample, load_libsvm, p
                    save_libsvm, split, synth_two_gaussians, to_libsvm)
 from .metrics import ConfusionMatrix, EvalReport, confusion, confusion_from_predictions, report
 from .model import LinearModel, decision_values, load_model, predict, save_model
-from .objective import ObjectiveConfig, WeightMode
-from .optimizers import CURVATURE_FLOOR, ScheduleKind, StepSchedule, bfgs_inverse_update
+from .objective import WeightMode
+from .optimizers import CURVATURE_FLOOR, bfgs_inverse_update
 from .stats import (NEMENYI_Q_05, RankTable, chi2_sf, friedman, nemenyi_cd, nemenyi_q,
                     pairwise_significance, rank_rows)
 from .trainer import (Optimizer, RESULTS_COLUMNS, TrainConfig, TrainingError, run_experiment,

@@ -21,7 +21,7 @@ import numpy as np
 from .data import (ParseError, load_libsvm, save_libsvm, split, synth_two_gaussians)
 from .metrics import confusion, report
 from .model import save_model
-from .objective import ObjectiveConfig, WeightMode
+from .objective import WeightMode
 from .stats import friedman, nemenyi_cd, nemenyi_q, pairwise_significance, rank_rows
 from .trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, SUMMARY_COLUMNS, TrainConfig,
                       TrainingError, history_rows, run_experiment, summary, to_csv, train)
@@ -136,7 +136,8 @@ def build_train_config(cfg: dict) -> TrainConfig:
             outer_iters=cfg["outer_iters"],
             inner_iters=cfg["inner_iters"],
             batch_size=cfg["batch_size"],
-            objective=ObjectiveConfig(C=cfg["c"], weight_mode=enums["weight_mode"]),
+            C=cfg["c"],
+            weight_mode=enums["weight_mode"],
             sigma=cfg["sigma"],
             alpha0=cfg["alpha0"],
             tau=cfg["tau"],
@@ -307,7 +308,7 @@ def cmd_experiment(args) -> int:
     for where, name, entry in dataset_entries:
         ds = _load_dataset(entry["path"])
         test = _load_dataset(entry["test_path"]) if entry.get("test_path") else None
-        configs = [preset_config(name, cfg.optimizer, cfg.adaptive, base=cfg)
+        configs = [preset_config(name, cfg)
                    if preset and name.lower() in PRESETS else cfg for cfg, preset in methods]
         datasets.append((where, name, ds, test, entry.get("split", 0.2), configs))
     cells = []

@@ -8,20 +8,21 @@ update. The damping term lambda*s added to the gradient difference keeps the
 curvature product positive on most steps; a relative curvature floor guards
 the remaining ones, skipping the matrix update but keeping the step.
 
-The steps and ``QuasiNewtonState.initial`` check nothing but the dense-H size:
-they expect a batch fit for ``objective.subgradient`` and finite eps_h > 0,
-damping >= 0 and 0 <= mu < 1, which ``train()`` and ``TrainConfig`` guarantee.
+``cfg`` is the run's ``TrainConfig``: ``subgradient`` reads its ``C`` and
+``weight_mode``, the quasi-Newton steps its ``damping`` and oNAQ its ``mu``.
+The caller counts the steps and passes each step's size as ``rate``. The steps
+and ``QuasiNewtonState.initial`` check nothing but the dense-H size: they
+expect a batch fit for ``subgradient`` and finite eps_h > 0, damping >= 0 and
+0 <= mu < 1, which ``train()`` and ``TrainConfig`` guarantee.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-import math
 
 import numpy as np
 
-from .objective import ObjectiveConfig, subgradient
+from .objective import subgradient
 
 # Skip the H update when y.s <= floor * ||s|| * ||y||: below a cosine of ~1e-5 H may not factor.
 CURVATURE_FLOOR = 1e-4
@@ -35,58 +36,22 @@ MAX_DENSE_H_BYTES = 2**31
 _BLOCK_ELEMS = 2**15
 
 
-class ScheduleKind(Enum):
-    CONSTANT = "constant"
-    TAU_DECAY = "tau"
-    SQRT_DECAY = "sqrt"
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step size at step k >= 1: alpha0, (tau/(tau+k))*alpha0, or alpha0/sqrt(k)."""
-
-    kind: ScheduleKind
-    alpha0: float = 1.0
-    tau: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not (self.alpha0 >= 0 and self.tau > 0):
-            raise ValueError(f"alpha0 must be nonnegative and tau positive, "
-                             f"got alpha0={self.alpha0}, tau={self.tau}")
-        for key, v in (("alpha0", self.alpha0), ("tau", self.tau)):
-            if math.isinf(v):
-                raise ValueError(f"{key} must be finite, got {v}")
-
-    def rate(self, k: int) -> float:
-        if k < 1:
-            raise ValueError(f"step counter must be >= 1, got {k}")
-        if self.kind is ScheduleKind.CONSTANT:
-            return self.alpha0
-        if self.kind is ScheduleKind.TAU_DECAY:
-            return self.tau / (self.tau + k) * self.alpha0
-        return self.alpha0 / math.sqrt(k)
-
-
 @dataclass
 class QuasiNewtonState:
-    """Mutable per-run state: inverse-Hessian approximation H, velocity v,
-    step counter k, damping lambda, and momentum mu."""
+    """Mutable per-run state: inverse-Hessian approximation H and velocity v."""
 
     H: np.ndarray
     v: np.ndarray
-    k: int = 1
-    damping: float = 0.2
-    mu: float = 0.1
 
     @classmethod
-    def initial(cls, dim: int, eps_h: float = 1.0, damping: float = 0.2, mu: float = 0.1) -> "QuasiNewtonState":
+    def initial(cls, dim: int, eps_h: float = 1.0) -> "QuasiNewtonState":
         need = dim * dim * 8
         if need > MAX_DENSE_H_BYTES:
             raise MemoryError(f"a dense {dim} x {dim} inverse Hessian needs {need / 2**30:.2f} GiB, "
                               f"above the {MAX_DENSE_H_BYTES / 2**30:g} GiB bound")
         H = np.eye(dim)
         H *= eps_h
-        return cls(H=H, v=np.zeros(dim), k=1, damping=damping, mu=mu)
+        return cls(H=H, v=np.zeros(dim))
 
 
 def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -142,33 +107,34 @@ def _curvature_ok(s: np.ndarray, y: np.ndarray) -> bool:
 
 
 def sgd_step(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray,
-             cfg: ObjectiveConfig, schedule: StepSchedule, k: int) -> np.ndarray:
-    """w - rate(k) * grad on the minibatch."""
-    return w - schedule.rate(k) * subgradient(w, X, y, alpha, cfg)
+             cfg, rate: float) -> np.ndarray:
+    """w - rate * grad on the minibatch."""
+    return w - rate * subgradient(w, X, y, alpha, cfg)
 
 
 def obfgs_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np.ndarray,
-               cfg: ObjectiveConfig, schedule: StepSchedule) -> np.ndarray:
-    """One online-BFGS step; mutates ``state`` (H, v, k) and returns the new w.
+               cfg, rate: float) -> np.ndarray:
+    """One online-BFGS step; mutates ``state`` (H, v) and returns the new w.
 
-    A zero search direction skips the step (counter still advances); a
-    curvature pair below the floor skips only the H update.
+    A zero search direction skips the step; a curvature pair below the floor
+    skips only the H update.
     """
-    return _qn_step(w, state, X, y, alpha, cfg, schedule, 0.0)
+    return _qn_step(w, state, X, y, alpha, cfg, rate, 0.0)
 
 
 def onaq_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np.ndarray,
-              cfg: ObjectiveConfig, schedule: StepSchedule) -> np.ndarray:
-    """One online Nesterov-accelerated quasi-Newton step; mutates ``state``.
+              cfg, rate: float) -> np.ndarray:
+    """One online Nesterov-accelerated quasi-Newton step with momentum
+    ``cfg.mu``; mutates ``state``.
 
     The first gradient is taken at the lookahead point w + mu*v; the curvature
     pair is formed between the new iterate and the lookahead point.
     """
-    return _qn_step(w, state, X, y, alpha, cfg, schedule, state.mu)
+    return _qn_step(w, state, X, y, alpha, cfg, rate, cfg.mu)
 
 
 def _qn_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np.ndarray,
-             cfg: ObjectiveConfig, schedule: StepSchedule, mu: float) -> np.ndarray:
+             cfg, rate: float, mu: float) -> np.ndarray:
     """The shared quasi-Newton step with momentum ``mu``.
 
     With mu = 0 this is the online-BFGS step bit for bit: w never holds -0.0,
@@ -179,16 +145,14 @@ def _qn_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np
     direction = -(state.H @ g1)
     nrm = float(np.linalg.norm(direction))
     if nrm == 0.0:
-        state.k += 1
         return w
     direction /= nrm
-    v_new = mu * state.v + schedule.rate(state.k) * direction
+    v_new = mu * state.v + rate * direction
     w_new = w + v_new
     g2 = subgradient(w_new, X, y, alpha, cfg)
     s = w_new - look
-    yvec = g2 - g1 + state.damping * s
+    yvec = g2 - g1 + cfg.damping * s
     if _curvature_ok(s, yvec):
         state.H = bfgs_inverse_update(state.H, s, yvec)
     state.v = v_new
-    state.k += 1
     return w_new

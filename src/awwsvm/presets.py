@@ -40,19 +40,17 @@ PRESETS: dict[str, Preset] = {
 OUTER_ITERS = 10
 
 
-def preset_config(dataset: str, optimizer: Optimizer, adaptive: bool,
-                  base: TrainConfig | None = None) -> TrainConfig:
-    """TrainConfig with the preset budget for ``dataset`` (case-insensitive).
+def preset_config(dataset: str, base: TrainConfig) -> TrainConfig:
+    """``base`` with the preset budget for ``dataset`` (case-insensitive) and
+    ``base.optimizer``: iterations, batch size and alpha0.
 
-    Unknown datasets raise KeyError. ``base`` supplies everything a preset
-    does not cover (objective, sigma, noise mode, seed, ...).
+    Unknown datasets raise KeyError. ``base`` supplies everything else
+    (optimizer, adaptive, C, sigma, noise mode, seed, ...).
     """
     preset = PRESETS[dataset.lower()]
-    base = base if base is not None else TrainConfig()
-    if optimizer is Optimizer.SGD:
+    if base.optimizer is Optimizer.SGD:
         total, batch, alpha0 = preset.sgd_iters, preset.sgd_batch, preset.sgd_lr
     else:
         total, batch, alpha0 = preset.qn_iters, preset.qn_batch, 1.0
-    return replace(base, optimizer=optimizer, adaptive=adaptive,
-                   outer_iters=OUTER_ITERS, inner_iters=max(1, total // OUTER_ITERS),
+    return replace(base, outer_iters=OUTER_ITERS, inner_iters=max(1, total // OUTER_ITERS),
                    batch_size=batch, alpha0=alpha0)

@@ -7,16 +7,17 @@ times: (a) ``inner_iters`` optimizer steps over minibatches of the active
 samples with the current weights, (b) signed distances of all active samples,
 (c) when adaptive, wrong-side noise elimination (permanent for the run), and
 (d) when adaptive, a weight refresh from the distances. Optimizer state
-(counter, velocity, inverse-Hessian approximation) persists across outer
+(step counter, velocity, inverse-Hessian approximation) persists across outer
 iterations. With ``adaptive=False`` the weights never move and the run is
 bit-for-bit the bare optimizer under the same seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 import io
+import math
 import warnings
 
 import numpy as np
@@ -24,9 +25,8 @@ import numpy as np
 from .data import Dataset, MinibatchSampler, RowBatch
 from .metrics import confusion_from_predictions, report
 from .model import LinearModel, decision_values, predict
-from .objective import ObjectiveConfig, loss
-from .optimizers import (QuasiNewtonState, ScheduleKind, StepSchedule,
-                         obfgs_step, onaq_step, sgd_step)
+from .objective import WeightMode, loss
+from .optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
 from .weighting import NoiseMode, detect_noise, init_weights, update_weights
 
 
@@ -49,7 +49,8 @@ class TrainConfig:
     outer_iters: int = 10
     inner_iters: int = 10
     batch_size: int = 64
-    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
+    C: float = 1.0
+    weight_mode: WeightMode = WeightMode.REGULARIZER
     sigma: float = 1.0
     alpha0: float = 1.0
     tau: float = 10.0
@@ -60,6 +61,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.C > 0:
+            raise ValueError(f"C must be positive, got {self.C}")
+        if np.isinf(self.C):
+            raise ValueError(f"C must be finite, got {self.C}")
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("outer_iters and inner_iters must be >= 1")
         if self.batch_size < 1:
@@ -78,19 +83,27 @@ class TrainConfig:
                 raise ValueError(f"{key} must be finite, got {v}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.schedule()  # alpha0 and tau
+        if not (self.alpha0 >= 0 and self.tau > 0):
+            raise ValueError(f"alpha0 must be nonnegative and tau positive, "
+                             f"got alpha0={self.alpha0}, tau={self.tau}")
+        for key, v in (("alpha0", self.alpha0), ("tau", self.tau)):
+            if math.isinf(v):
+                raise ValueError(f"{key} must be finite, got {v}")
 
     @property
     def method_name(self) -> str:
         base = self.optimizer.value
         return f"aw+{base}" if self.adaptive else base
 
-    def schedule(self) -> StepSchedule:
+    def rate(self, k: int) -> float:
+        """Size of step k >= 1: alpha0 (sgd), tau/(tau+k)*alpha0 (obfgs), alpha0/sqrt(k) (onaq)."""
+        if k < 1:
+            raise ValueError(f"step counter must be >= 1, got {k}")
         if self.optimizer is Optimizer.SGD:
-            return StepSchedule(ScheduleKind.CONSTANT, alpha0=self.alpha0)
+            return self.alpha0
         if self.optimizer is Optimizer.OBFGS:
-            return StepSchedule(ScheduleKind.TAU_DECAY, alpha0=self.alpha0, tau=self.tau)
-        return StepSchedule(ScheduleKind.SQRT_DECAY, alpha0=self.alpha0)
+            return self.tau / (self.tau + k) * self.alpha0
+        return self.alpha0 / math.sqrt(k)
 
 
 class _ActiveRows:
@@ -137,28 +150,27 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
         alpha = init_weights(n)
         active = np.ones(n, dtype=bool)  # False once flagged as noise, for the rest of the run
         sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
-        schedule = cfg.schedule()
         qn = None
         if cfg.optimizer is not Optimizer.SGD:
             try:
-                qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
+                qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h)
             except MemoryError as exc:
                 raise TrainingError(f"augmented dimension {d_aug}: {exc}; "
                                     "the sgd optimizer keeps no d x d state") from exc
-        sgd_k = 1
+        k = 0  # steps taken, over all outer rounds
 
         rounds = []
         for outer in range(1, cfg.outer_iters + 1):
             for _ in range(cfg.inner_iters):
+                k += 1
                 bidx = sampler.next_batch()
                 Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], alpha[bidx]
                 if cfg.optimizer is Optimizer.SGD:
-                    w = sgd_step(w, Xb, yb, ab, cfg.objective, schedule, sgd_k)
-                    sgd_k += 1
+                    w = sgd_step(w, Xb, yb, ab, cfg, cfg.rate(k))
                 elif cfg.optimizer is Optimizer.OBFGS:
-                    w = obfgs_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
+                    w = obfgs_step(w, qn, Xb, yb, ab, cfg, cfg.rate(k))
                 else:
-                    w = onaq_step(w, qn, Xb, yb, ab, cfg.objective, schedule)
+                    w = onaq_step(w, qn, Xb, yb, ab, cfg, cfg.rate(k))
             if not np.isfinite(w).all():
                 raise TrainingError(f"weights diverged to a non-finite value in outer round {outer}")
 
@@ -184,7 +196,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                 # current weights and mask for this round
 
             a_act = alpha[active]
-            train_loss = loss(w, _ActiveRows(X, active), y[active], a_act, cfg.objective)
+            train_loss = loss(w, _ActiveRows(X, active), y[active], a_act, cfg)
             if not np.isfinite(train_loss):
                 raise TrainingError(
                     f"objective value {train_loss} is not finite in outer round {outer}")

@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 
 from awwsvm.data import MinibatchSampler, load_libsvm, split, synth_two_gaussians
 from awwsvm.metrics import confusion, report
-from awwsvm.objective import ObjectiveConfig, WeightMode, loss, subgradient
+from awwsvm.objective import WeightMode, loss, subgradient
 from awwsvm.optimizers import (QuasiNewtonState, bfgs_inverse_update, obfgs_step,
                                onaq_step, sgd_step)
 from awwsvm.presets import preset_config
@@ -146,8 +146,8 @@ def test_criterion_05_gradient_matches_finite_differences():
     h = 1e-5
     worst = 0.0
     for trial in range(200):
-        cfg = ObjectiveConfig(C=float(rng.uniform(0.1, 3.0)),
-                              weight_mode=WeightMode.REGULARIZER if trial % 2 else WeightMode.HINGE)
+        cfg = TrainConfig(C=float(rng.uniform(0.1, 3.0)),
+                          weight_mode=WeightMode.REGULARIZER if trial % 2 else WeightMode.HINGE)
         while True:
             n, d = int(rng.integers(2, 9)), int(rng.integers(2, 7))
             X = rng.uniform(-2.0, 2.0, size=(n, d))
@@ -200,19 +200,16 @@ def _bare_trajectory(train_ds, cfg):
     w = np.zeros(d)
     alpha = init_weights(n)
     sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
-    sched = cfg.schedule()
-    state = QuasiNewtonState.initial(d, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
-    k = 1
-    for _ in range(cfg.outer_iters * cfg.inner_iters):
+    state = QuasiNewtonState.initial(d, eps_h=cfg.eps_h)
+    for k in range(1, cfg.outer_iters * cfg.inner_iters + 1):
         idx = sampler.next_batch()
         Xb, yb, ab = X[idx], y[idx], alpha[idx]
         if cfg.optimizer is Optimizer.SGD:
-            w = sgd_step(w, Xb, yb, ab, cfg.objective, sched, k)
-            k += 1
+            w = sgd_step(w, Xb, yb, ab, cfg, cfg.rate(k))
         elif cfg.optimizer is Optimizer.OBFGS:
-            w = obfgs_step(w, state, Xb, yb, ab, cfg.objective, sched)
+            w = obfgs_step(w, state, Xb, yb, ab, cfg, cfg.rate(k))
         else:
-            w = onaq_step(w, state, Xb, yb, ab, cfg.objective, sched)
+            w = onaq_step(w, state, Xb, yb, ab, cfg, cfg.rate(k))
     return w
 
 
@@ -235,17 +232,19 @@ def test_criterion_07_disabled_framework_is_bitwise_baseline():
 # Experimental criteria share this objective placement: weights scale the
 # hinge (the placement where per-sample emphasis reaches the data term) with
 # a negligible quadratic term so the baseline is a genuine hinge minimizer.
-EXPERIMENT_OBJECTIVE = ObjectiveConfig(C=1e-6, weight_mode=WeightMode.HINGE)
+EXPERIMENT_OBJECTIVE = {"C": 1e-6, "weight_mode": WeightMode.HINGE}
 
 
 def test_criterion_08_mushroom_adaptive_sgd():
     ds = _benchmark("mushroom")
-    base = TrainConfig(objective=EXPERIMENT_OBJECTIVE)
+    base = TrainConfig(**EXPERIMENT_OBJECTIVE)
     accs, wins = [], 0
     for seed in SEEDS:
         tr, ev = split(ds, 0.2, seed=seed)
-        cfg_a = replace(preset_config("mushroom", Optimizer.SGD, True, base), seed=seed)
-        cfg_b = replace(preset_config("mushroom", Optimizer.SGD, False, base), seed=seed)
+        cfg_a = replace(preset_config("mushroom", replace(base, optimizer=Optimizer.SGD,
+                                                          adaptive=True)), seed=seed)
+        cfg_b = replace(preset_config("mushroom", replace(base, optimizer=Optimizer.SGD,
+                                                          adaptive=False)), seed=seed)
         m_a, _ = train(tr, ev, cfg_a)
         m_b, _ = train(tr, ev, cfg_b)
         acc_a = report(confusion(m_a, ev)).accuracy
@@ -261,11 +260,12 @@ def test_criterion_08_mushroom_adaptive_sgd():
 
 def test_criterion_09_w1a_adaptive_onaq():
     ds = _benchmark("w1a")
-    base = TrainConfig(objective=EXPERIMENT_OBJECTIVE)
+    base = TrainConfig(**EXPERIMENT_OBJECTIVE)
     accs = []
     for seed in SEEDS:
         tr, ev = split(ds, 0.2, seed=seed)
-        cfg = replace(preset_config("w1a", Optimizer.ONAQ, True, base), seed=seed)
+        cfg = replace(preset_config("w1a", replace(base, optimizer=Optimizer.ONAQ, adaptive=True)),
+                      seed=seed)
         model, _ = train(tr, ev, cfg)
         accs.append(report(confusion(model, ev)).accuracy)
     mean_acc = float(np.mean(accs))
@@ -277,15 +277,17 @@ def test_criterion_09_w1a_adaptive_onaq():
 
 def test_criterion_10_yeast_adaptive_never_worse():
     ds = _benchmark("yeast")
-    base = TrainConfig(objective=EXPERIMENT_OBJECTIVE)
+    base = TrainConfig(**EXPERIMENT_OBJECTIVE)
     ok = True
     details = []
     for opt in Optimizer:
         wins = 0
         for seed in SEEDS:
             tr, ev = split(ds, 0.2, seed=seed)
-            cfg_a = replace(preset_config("yeast", opt, True, base), seed=seed)
-            cfg_b = replace(preset_config("yeast", opt, False, base), seed=seed)
+            cfg_a = replace(preset_config("yeast", replace(base, optimizer=opt, adaptive=True)),
+                            seed=seed)
+            cfg_b = replace(preset_config("yeast", replace(base, optimizer=opt, adaptive=False)),
+                            seed=seed)
             m_a, _ = train(tr, ev, cfg_a)
             m_b, _ = train(tr, ev, cfg_b)
             acc_a = report(confusion(m_a, ev)).accuracy
@@ -306,7 +308,7 @@ def _angle(u, v):
 def test_criterion_11_outlier_robustness_ordering():
     base = TrainConfig(optimizer=Optimizer.OBFGS, adaptive=False, outer_iters=30,
                        inner_iters=10, batch_size=16, alpha0=1.0,
-                       objective=ObjectiveConfig(C=1e-3, weight_mode=WeightMode.HINGE))
+                       C=1e-3, weight_mode=WeightMode.HINGE)
     eval_ds = synth_two_gaussians(400, 400, 4.0, 0.0, seed=999)
     wins = 0
     pairs = []
@@ -332,7 +334,7 @@ def test_criterion_11_outlier_robustness_ordering():
 def test_criterion_12_gmean_ordering_across_imbalance_ratios():
     base = TrainConfig(optimizer=Optimizer.OBFGS, adaptive=False, outer_iters=15,
                        inner_iters=10, batch_size=128, alpha0=1.0,
-                       objective=EXPERIMENT_OBJECTIVE)
+                       **EXPERIMENT_OBJECTIVE)
     eval_ds = synth_two_gaussians(3000, 3000, 1.0, 0.0, seed=987)
     ok = True
     details = []

@@ -256,6 +256,13 @@ class TestTrainCommand:
         (["--optimizer", "obfgs", "--eps-h", "inf"], "eps_h must be finite, got inf"),
         (["--optimizer", "obfgs", "--tau", "inf"], "tau must be finite, got inf"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        # tau is checked whichever optimizer runs, though only obfgs reads it
+        (["--tau", "0"], "alpha0 must be nonnegative and tau positive, got alpha0=1.0, tau=0.0"),
+        (["--optimizer", "onaq", "--tau", "inf"], "tau must be finite, got inf"),
+        # two bad values: the first check in TrainConfig's order wins (C, the
+        # rest in field order, then alpha0 and tau)
+        (["--c", "0", "--batch-size", "0"], "C must be positive, got 0.0"),
+        (["--tau", "0", "--sigma", "0"], "sigma must be positive"),
     ])
     def test_invalid_hyperparameter_is_usage_error(self, synth_file, tmp_path, capsys,
                                                    flags, message):

@@ -11,7 +11,7 @@ import pytest
 
 from awwsvm import optimizers, trainer
 from awwsvm.data import synth_two_gaussians
-from awwsvm.objective import ObjectiveConfig, WeightMode
+from awwsvm.objective import WeightMode
 from awwsvm.trainer import Optimizer, TrainConfig, train
 from awwsvm.weighting import NoiseMode
 
@@ -48,7 +48,7 @@ def test_adaptive_train_feeds_the_kernels_valid_batches(calls, n_pos, n_neg, see
     train_ds = synth_two_gaussians(n_pos, n_neg, 4.0, 0.05, seed=seed)
     eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=seed + 1)
     cfg = TrainConfig(optimizer=opt, adaptive=True, outer_iters=5, inner_iters=5, batch_size=8,
-                      objective=ObjectiveConfig(weight_mode=mode), noise_mode=noise, seed=0)
+                      weight_mode=mode, noise_mode=noise, seed=0)
     _, rounds = train(train_ds, eval_ds, cfg)
     assert rounds[-1]["n_noise"] >= 1
     assert calls["subgradient"] >= 25 and calls["loss"] == 5

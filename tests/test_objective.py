@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from awwsvm.objective import ObjectiveConfig, WeightMode, loss, subgradient
+from awwsvm.objective import WeightMode, loss, subgradient
+from awwsvm.trainer import TrainConfig
 
-REG = ObjectiveConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
-HIN = ObjectiveConfig(C=1.0, weight_mode=WeightMode.HINGE)
+REG = TrainConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
+HIN = TrainConfig(C=1.0, weight_mode=WeightMode.HINGE)
 
 
 def finite_difference(w, X, y, alpha, cfg, h=1e-5):
@@ -61,7 +62,7 @@ class TestLoss:
 
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
-            ObjectiveConfig(C=0.0)
+            TrainConfig(C=0.0)
 
 
 class TestSubgradient:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -7,47 +8,47 @@ from scipy import sparse
 
 from awwsvm import optimizers
 from awwsvm.data import Dataset
-from awwsvm.objective import ObjectiveConfig, WeightMode
+from awwsvm.objective import WeightMode
 from awwsvm.optimizers import (CURVATURE_FLOOR, MAX_DENSE_H_BYTES, QuasiNewtonState,
-                               ScheduleKind, StepSchedule, bfgs_inverse_update, obfgs_step,
-                               onaq_step, sgd_step)
+                               bfgs_inverse_update, obfgs_step, onaq_step, sgd_step)
 from awwsvm.trainer import Optimizer, TrainConfig, train
 
-REG = ObjectiveConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
+REG = TrainConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
+OBFGS = TrainConfig(optimizer=Optimizer.OBFGS)  # tau = 10, alpha0 = 1
 
 
 class TestSchedules:
     def test_tau_decay_values(self):
-        s = StepSchedule(ScheduleKind.TAU_DECAY, alpha0=1.0, tau=10.0)
-        assert s.rate(1) == pytest.approx(10.0 / 11.0)
-        assert s.rate(10) == pytest.approx(0.5)
+        cfg = TrainConfig(optimizer=Optimizer.OBFGS, alpha0=1.0, tau=10.0)
+        assert cfg.rate(1) == pytest.approx(10.0 / 11.0)
+        assert cfg.rate(10) == pytest.approx(0.5)
 
     def test_sqrt_decay_values(self):
-        s = StepSchedule(ScheduleKind.SQRT_DECAY, alpha0=1.0)
-        assert s.rate(1) == 1.0
-        assert s.rate(4) == 0.5
+        cfg = TrainConfig(optimizer=Optimizer.ONAQ, alpha0=1.0)
+        assert cfg.rate(1) == 1.0
+        assert cfg.rate(4) == 0.5
 
     def test_constant(self):
-        s = StepSchedule(ScheduleKind.CONSTANT, alpha0=0.3)
-        assert s.rate(1) == s.rate(100) == 0.3
+        cfg = TrainConfig(optimizer=Optimizer.SGD, alpha0=0.3)
+        assert cfg.rate(1) == cfg.rate(100) == 0.3
 
     def test_positive_and_nonincreasing(self):
         rng = np.random.default_rng(1)
-        for kind in (ScheduleKind.TAU_DECAY, ScheduleKind.SQRT_DECAY):
+        for opt in (Optimizer.OBFGS, Optimizer.ONAQ):
             for _ in range(20):
-                s = StepSchedule(kind, alpha0=float(rng.uniform(0.01, 5.0)),
-                                 tau=float(rng.uniform(0.5, 50.0)))
-                rates = [s.rate(k) for k in range(1, 40)]
+                cfg = TrainConfig(optimizer=opt, alpha0=float(rng.uniform(0.01, 5.0)),
+                                  tau=float(rng.uniform(0.5, 50.0)))
+                rates = [cfg.rate(k) for k in range(1, 40)]
                 assert all(r > 0 for r in rates)
                 assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_step_counter_must_start_at_one(self):
-        with pytest.raises(ValueError):
-            StepSchedule(ScheduleKind.CONSTANT).rate(0)
+        with pytest.raises(ValueError, match=r"^step counter must be >= 1, got 0$"):
+            TrainConfig().rate(0)
 
     def test_negative_alpha0_rejected(self):
         with pytest.raises(ValueError):
-            StepSchedule(ScheduleKind.CONSTANT, alpha0=-0.1)
+            TrainConfig(alpha0=-0.1)
 
 
 class TestSgdStep:
@@ -56,8 +57,7 @@ class TestSgdStep:
         X = np.array([[1.0, 0.0, 1.0]])
         y = np.array([1.0])
         alpha = np.array([1.0])
-        sched = StepSchedule(ScheduleKind.CONSTANT, alpha0=0.1)
-        w = sgd_step(np.zeros(3), X, y, alpha, REG, sched, k=1)
+        w = sgd_step(np.zeros(3), X, y, alpha, REG, rate=0.1)
         np.testing.assert_allclose(w, [0.1, 0.0, 0.1])
 
     def test_zero_gradient_is_fixed_point(self):
@@ -66,17 +66,16 @@ class TestSgdStep:
         y = np.array([1.0])
         alpha = np.array([0.0])
         w0 = np.array([1.0, 0.0])
-        sched = StepSchedule(ScheduleKind.CONSTANT, alpha0=0.5)
-        np.testing.assert_array_equal(sgd_step(w0, X, y, alpha, REG, sched, 1), w0)
+        np.testing.assert_array_equal(sgd_step(w0, X, y, alpha, REG, 0.5), w0)
 
     def test_zero_learning_rate_keeps_w(self):
         X = np.array([[1.0, 2.0]])
         y = np.array([1.0])
         alpha = np.array([1.0])
-        sched = StepSchedule(ScheduleKind.CONSTANT, alpha0=0.0)
+        cfg = TrainConfig(alpha0=0.0)
         w0 = np.array([0.3, -0.4])
-        w1 = sgd_step(w0, X, y, alpha, REG, sched, 1)
-        w2 = sgd_step(w1, X, y, alpha, REG, sched, 2)
+        w1 = sgd_step(w0, X, y, alpha, cfg, cfg.rate(1))
+        w2 = sgd_step(w1, X, y, alpha, cfg, cfg.rate(2))
         np.testing.assert_array_equal(w2, w0)
 
 
@@ -253,20 +252,18 @@ class TestObfgsStep:
         # w = 0 so the hinge is active: grad = -(y x) = (0.6, 0.8), unit norm
         X, y, alpha = _single_sample_batch([0.6, 0.8])
         state = QuasiNewtonState.initial(2)
-        sched = StepSchedule(ScheduleKind.TAU_DECAY, alpha0=1.0, tau=10.0)
-        w = obfgs_step(np.zeros(2), state, X, y, alpha, REG, sched)
+        w = obfgs_step(np.zeros(2), state, X, y, alpha, OBFGS, OBFGS.rate(1))
         np.testing.assert_allclose(w, (10.0 / 11.0) * np.array([0.6, 0.8]), rtol=1e-12)
-        assert state.k == 2
         np.testing.assert_allclose(np.linalg.norm(state.v), 10.0 / 11.0, rtol=1e-12)
 
     def test_damping_keeps_curvature_acceptable(self):
         # margins far above 1 throughout: gradients are pure weighted-norm terms
         X, y, alpha = _single_sample_batch([50.0, 0.0])
-        state = QuasiNewtonState.initial(2, damping=0.2)
-        sched = StepSchedule(ScheduleKind.TAU_DECAY)
+        state = QuasiNewtonState.initial(2)
+        cfg = replace(OBFGS, damping=0.2)
         w = np.array([1.0, 1.0])
-        for _ in range(5):
-            w_new = obfgs_step(w, state, X, y, alpha, REG, sched)
+        for k in range(1, 6):
+            w_new = obfgs_step(w, state, X, y, alpha, cfg, cfg.rate(k))
             s = w_new - w
             assert np.abs(state.H - state.H.T).max() < 1e-10
             np.linalg.cholesky(state.H)
@@ -278,40 +275,38 @@ class TestObfgsStep:
         X = np.array([[5.0, 0.0]])
         y = np.array([1.0])
         alpha = np.array([0.0])
-        state = QuasiNewtonState.initial(2, damping=0.0)
-        sched = StepSchedule(ScheduleKind.TAU_DECAY)
+        state = QuasiNewtonState.initial(2)
+        cfg = replace(OBFGS, damping=0.0)
         w0 = np.array([1.0, 0.0])
-        w1 = obfgs_step(w0, state, X, y, alpha, REG, sched)
+        w1 = obfgs_step(w0, state, X, y, alpha, cfg, cfg.rate(1))
         np.testing.assert_array_equal(w1, w0)
         np.testing.assert_array_equal(state.H, np.eye(2))
-        assert state.k == 2
+        np.testing.assert_array_equal(state.v, np.zeros(2))
 
     def test_pair_below_floor_keeps_h_but_steps(self, monkeypatch):
         # g1 = (1, 0) gives s = -(10/11, 0); g2 - g1 = (-1e-6, 1) is at cosine
-        # 1e-6 to s, below the floor, so H stays while w, v and k move on
+        # 1e-6 to s, below the floor, so H stays while w and v move on
         grads = iter([np.array([1.0, 0.0]), np.array([1.0 - 1e-6, 1.0])])
         monkeypatch.setattr(optimizers, "subgradient", lambda *args: next(grads))
         X, y, alpha = _single_sample_batch([1.0, 0.0])
-        state = QuasiNewtonState.initial(2, damping=0.0)
-        sched = StepSchedule(ScheduleKind.TAU_DECAY, alpha0=1.0, tau=10.0)
-        w = obfgs_step(np.zeros(2), state, X, y, alpha, REG, sched)
+        state = QuasiNewtonState.initial(2)
+        cfg = replace(OBFGS, damping=0.0)
+        w = obfgs_step(np.zeros(2), state, X, y, alpha, cfg, cfg.rate(1))
         np.testing.assert_array_equal(w, [-10.0 / 11.0, 0.0])
         np.testing.assert_array_equal(state.v, w)
         np.testing.assert_array_equal(state.H, np.eye(2))
-        assert state.k == 2
 
     def test_damped_curvature_bound_on_quadratic(self):
         # hinge inactive: gradient is linear in w, (g2-g1).s >= 0, so
         # y.s >= damping * ||s||^2
         X, y, alpha = _single_sample_batch([100.0, 0.0])
-        cfg = ObjectiveConfig(C=2.0, weight_mode=WeightMode.REGULARIZER)
-        state = QuasiNewtonState.initial(2, damping=0.3)
-        sched = StepSchedule(ScheduleKind.TAU_DECAY)
+        cfg = replace(OBFGS, C=2.0, weight_mode=WeightMode.REGULARIZER, damping=0.3)
+        state = QuasiNewtonState.initial(2)
         from awwsvm.objective import subgradient
         w = np.array([0.5, 0.5])
-        for _ in range(5):
+        for k in range(1, 6):
             g1 = subgradient(w, X, y, alpha, cfg)
-            w_new = obfgs_step(w, state, X, y, alpha, cfg, sched)
+            w_new = obfgs_step(w, state, X, y, alpha, cfg, cfg.rate(k))
             g2 = subgradient(w_new, X, y, alpha, cfg)
             s = w_new - w
             yvec = g2 - g1 + 0.3 * s
@@ -322,33 +317,33 @@ class TestObfgsStep:
 class TestOnaqStep:
     def test_zero_velocity_matches_obfgs_direction(self):
         X, y, alpha = _single_sample_batch([0.6, 0.8])
-        sched = StepSchedule(ScheduleKind.SQRT_DECAY, alpha0=1.0)
-        s1 = QuasiNewtonState.initial(2, mu=0.1)
-        w_naq = onaq_step(np.zeros(2), s1, X, y, alpha, REG, sched)
+        cfg = TrainConfig(optimizer=Optimizer.ONAQ, alpha0=1.0, mu=0.1)
+        s1 = QuasiNewtonState.initial(2)
+        w_naq = onaq_step(np.zeros(2), s1, X, y, alpha, cfg, cfg.rate(1))
         s2 = QuasiNewtonState.initial(2)
-        w_bfgs = obfgs_step(np.zeros(2), s2, X, y, alpha, REG, sched)
+        w_bfgs = obfgs_step(np.zeros(2), s2, X, y, alpha, cfg, cfg.rate(1))
         np.testing.assert_allclose(w_naq, w_bfgs, rtol=1e-12)
 
     def test_first_step_uses_full_alpha0(self):
         X, y, alpha = _single_sample_batch([1.0, 0.0])
-        sched = StepSchedule(ScheduleKind.SQRT_DECAY, alpha0=0.8)
-        state = QuasiNewtonState.initial(2, mu=0.5)
-        w = onaq_step(np.zeros(2), state, X, y, alpha, REG, sched)
+        cfg = TrainConfig(optimizer=Optimizer.ONAQ, alpha0=0.8, mu=0.5)
+        state = QuasiNewtonState.initial(2)
+        w = onaq_step(np.zeros(2), state, X, y, alpha, cfg, cfg.rate(1))
         assert np.linalg.norm(w) == pytest.approx(0.8, rel=1e-12)
 
     def test_velocity_accumulates_with_momentum(self):
         X, y, alpha = _single_sample_batch([1.0, 0.0])
-        sched = StepSchedule(ScheduleKind.SQRT_DECAY, alpha0=0.1)
-        state = QuasiNewtonState.initial(2, mu=0.4)
+        cfg = TrainConfig(optimizer=Optimizer.ONAQ, alpha0=0.1, mu=0.4)
+        state = QuasiNewtonState.initial(2)
         w = np.zeros(2)
-        w = onaq_step(w, state, X, y, alpha, REG, sched)
+        w = onaq_step(w, state, X, y, alpha, cfg, cfg.rate(1))
         v1 = state.v.copy()
-        w2 = onaq_step(w, state, X, y, alpha, REG, sched)
+        w2 = onaq_step(w, state, X, y, alpha, cfg, cfg.rate(2))
         # v2 = mu*v1 + rate(2)*direction, and w2 = w + v2
         np.testing.assert_allclose(w2 - w, state.v)
         assert np.linalg.norm(state.v - 0.4 * v1) == pytest.approx(0.1 / np.sqrt(2), rel=1e-9)
 
-    # QuasiNewtonState.initial trusts these; TrainConfig rejects them when it is built
+    # the steps and QuasiNewtonState.initial trust these; TrainConfig rejects them when it is built
     @pytest.mark.parametrize("key, value, message", [
         ("mu", 1.0, r"^mu must lie in \[0,1\), got 1.0$"),
         ("eps_h", 0.0, r"^eps_h must be positive, got 0.0$"),
@@ -366,11 +361,11 @@ class TestStatePersistence:
         X = rng.normal(size=(n, d))
         y = rng.choice([-1.0, 1.0], size=n)
         alpha = rng.uniform(0.1, 1.0, size=n)
-        state = QuasiNewtonState.initial(d, damping=0.2)
-        sched = StepSchedule(ScheduleKind.TAU_DECAY)
+        state = QuasiNewtonState.initial(d)
+        cfg = replace(OBFGS, damping=0.2)
         w = np.zeros(d)
-        for _ in range(60):
+        for k in range(1, 61):
             idx = rng.choice(n, size=8, replace=False)
-            w = obfgs_step(w, state, X[idx], y[idx], alpha[idx], REG, sched)
+            w = obfgs_step(w, state, X[idx], y[idx], alpha[idx], cfg, cfg.rate(k))
             assert np.abs(state.H - state.H.T).max() < 1e-10
             np.linalg.cholesky(state.H)

@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.sparse import _compressed
 
 from awwsvm.data import RowBatch, synth_two_gaussians
-from awwsvm.objective import ObjectiveConfig, WeightMode, loss, subgradient
+from awwsvm.objective import WeightMode, loss, subgradient
 from awwsvm.trainer import Optimizer, TrainConfig, _ActiveRows, train
 
 
@@ -76,7 +76,7 @@ class TestRowBatchProducts:
         alpha = rng.random(len(idx))
         # small weights leave some margins below 1 and some above
         w = spread_values(rng, X.shape[1]) * 1e-6
-        cfg = ObjectiveConfig(C=C, weight_mode=mode)
+        cfg = TrainConfig(C=C, weight_mode=mode)
         assert_bitwise(subgradient(w, batch, y, alpha, cfg), subgradient(w, want, y, alpha, cfg))
         assert loss(w, batch, y, alpha, cfg) == loss(w, want, y, alpha, cfg)
 

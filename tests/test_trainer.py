@@ -6,7 +6,7 @@ import pytest
 
 from awwsvm import trainer
 from awwsvm.data import Dataset, MinibatchSampler, Sample, synth_two_gaussians
-from awwsvm.objective import ObjectiveConfig, WeightMode
+from awwsvm.objective import WeightMode
 from awwsvm.optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
 from awwsvm.cli import WEIGHTS_COLUMNS
 from awwsvm.trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, TrainConfig,
@@ -36,20 +36,17 @@ def bare_optimizer_trajectory(train_ds, cfg):
     w = np.zeros(d)
     alpha = init_weights(n)
     sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
-    sched = cfg.schedule()
-    state = QuasiNewtonState.initial(d, eps_h=cfg.eps_h, damping=cfg.damping, mu=cfg.mu)
-    k = 1
+    state = QuasiNewtonState.initial(d, eps_h=cfg.eps_h)
     trace = []
-    for _ in range(cfg.outer_iters * cfg.inner_iters):
+    for k in range(1, cfg.outer_iters * cfg.inner_iters + 1):
         idx = sampler.next_batch()
         Xb, yb, ab = X[idx], y[idx], alpha[idx]
         if cfg.optimizer is Optimizer.SGD:
-            w = sgd_step(w, Xb, yb, ab, cfg.objective, sched, k)
-            k += 1
+            w = sgd_step(w, Xb, yb, ab, cfg, cfg.rate(k))
         elif cfg.optimizer is Optimizer.OBFGS:
-            w = obfgs_step(w, state, Xb, yb, ab, cfg.objective, sched)
+            w = obfgs_step(w, state, Xb, yb, ab, cfg, cfg.rate(k))
         else:
-            w = onaq_step(w, state, Xb, yb, ab, cfg.objective, sched)
+            w = onaq_step(w, state, Xb, yb, ab, cfg, cfg.rate(k))
         trace.append(w.copy())
     return trace
 
@@ -62,6 +59,25 @@ class TestBaselineEquivalence:
         model, _ = train(train_ds, eval_ds, cfg)
         bare_final = bare_optimizer_trajectory(train_ds, cfg)[-1]
         np.testing.assert_array_equal(model.augmented(), bare_final)
+
+
+class TestStepCounter:
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "bare"])
+    @pytest.mark.parametrize("opt", list(Optimizer), ids=lambda o: o.value)
+    def test_one_counter_feeds_every_step_its_rate(self, monkeypatch, opt, adaptive):
+        # noisy set: adaptive runs eliminate samples between the outer rounds
+        calls = []
+        for name in ("sgd_step", "obfgs_step", "onaq_step"):
+            def spy(*args, name=name, step=getattr(trainer, name)):
+                calls.append((name, args[-1]))
+                return step(*args)
+            monkeypatch.setattr(trainer, name, spy)
+        train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
+        cfg = small_config(opt, adaptive=adaptive, outer_iters=3, inner_iters=4)
+        _, rounds = train(train_ds, train_ds, cfg)
+        assert {name for name, _ in calls} == {f"{opt.value}_step"}
+        assert [rate for _, rate in calls] == [cfg.rate(k) for k in range(1, 3 * 4 + 1)]
+        assert (rounds[-1]["n_noise"] > 0) == adaptive
 
 
 class TestTrainLoop:
@@ -153,7 +169,7 @@ class TestTrainLoop:
         ds = Dataset.from_samples(samples)
         cfg = TrainConfig(optimizer=Optimizer.OBFGS, adaptive=True, outer_iters=10,
                           inner_iters=10, batch_size=16, seed=2,
-                          objective=ObjectiveConfig(C=1e-4, weight_mode=WeightMode.HINGE))
+                          C=1e-4, weight_mode=WeightMode.HINGE)
         return ds, cfg
 
     def test_abort_when_class_would_be_emptied(self):
