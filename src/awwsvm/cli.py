@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+from dataclasses import fields
+from enum import Enum
 import json
 import os
 import sys
@@ -21,19 +23,16 @@ import numpy as np
 from .data import (ParseError, load_libsvm, save_libsvm, split, synth_two_gaussians)
 from .metrics import confusion, report
 from .model import save_model
-from .objective import WeightMode
 from .stats import friedman, nemenyi_cd, nemenyi_q, pairwise_significance, rank_rows
-from .trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, SUMMARY_COLUMNS, TrainConfig,
+from .trainer import (METRIC_COLUMNS, RESULTS_COLUMNS, SUMMARY_COLUMNS, TrainConfig,
                       TrainingError, history_rows, run_experiment, summary, to_csv, train)
 from .presets import PRESETS, preset_config
-from .weighting import NoiseMode
 
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
 
 
-# key -> (parser, default); flat schema shared by config files and flags
 def _parse_bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -43,30 +42,28 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _schema_entry(default) -> tuple:
+    """(parser, default) of a method key, from its TrainConfig field's default
+    (the annotations are strings here); an enum key takes the member's value."""
+    if isinstance(default, bool):
+        return _parse_bool, default
+    if isinstance(default, Enum):
+        return str, default.value
+    return type(default), default
+
+
+# the method keys: TrainConfig's fields, under their own names but for these two
+RENAMED = {"C": "c", "damping": "lambda"}
+FIELDS = {RENAMED.get(f.name, f.name): f for f in fields(TrainConfig)}
+
+# key -> (parser, default); flat schema shared by config files and flags
 CONFIG_SCHEMA: dict[str, tuple] = {
     "data": (str, None),
     "test_data": (str, None),
     "split": (float, 0.2),
-    "optimizer": (str, "sgd"),
-    "adaptive": (_parse_bool, False),
-    "weight_mode": (str, "regularizer"),
-    "noise_mode": (str, "signed"),
-    "sigma": (float, 1.0),
-    "c": (float, 1.0),
-    "alpha0": (float, 1.0),
-    "tau": (float, 10.0),
-    "mu": (float, 0.1),
-    "lambda": (float, 0.2),
-    "eps_h": (float, 1.0),
-    "outer_iters": (int, 10),
-    "inner_iters": (int, 10),
-    "batch_size": (int, 64),
-    "seed": (int, 0),
+    **{key: _schema_entry(f.default) for key, f in FIELDS.items()},
     "out": (str, None),
 }
-
-# config keys whose value names a member of an enum
-ENUM_KEYS = {"optimizer": Optimizer, "weight_mode": WeightMode, "noise_mode": NoiseMode}
 
 # keys a manifest entry may carry; any other key is an error, as the sweep would ignore it
 METHOD_KEYS = (set(CONFIG_SCHEMA) - {"data", "test_data", "split", "seed", "out"}) | {"preset"}
@@ -122,31 +119,19 @@ def format_config(cfg: dict) -> str:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    enums = {}
-    for key, enum in ENUM_KEYS.items():
-        try:
-            enums[key] = enum(cfg[key])
-        except ValueError:
-            raise CliError(f"unknown {key.replace('_', ' ')} {cfg[key]!r} "
-                           f"(choose from {[e.value for e in enum]})") from None
+    values = {}
+    for key, f in FIELDS.items():
+        value = cfg[key]
+        if isinstance(f.default, Enum):
+            enum = type(f.default)
+            try:
+                value = enum(value)
+            except ValueError:
+                raise CliError(f"unknown {key.replace('_', ' ')} {value!r} "
+                               f"(choose from {[e.value for e in enum]})") from None
+        values[f.name] = value
     try:
-        return TrainConfig(
-            optimizer=enums["optimizer"],
-            adaptive=cfg["adaptive"],
-            outer_iters=cfg["outer_iters"],
-            inner_iters=cfg["inner_iters"],
-            batch_size=cfg["batch_size"],
-            C=cfg["c"],
-            weight_mode=enums["weight_mode"],
-            sigma=cfg["sigma"],
-            alpha0=cfg["alpha0"],
-            tau=cfg["tau"],
-            mu=cfg["mu"],
-            damping=cfg["lambda"],
-            eps_h=cfg["eps_h"],
-            noise_mode=enums["noise_mode"],
-            seed=cfg["seed"],
-        )
+        return TrainConfig(**values)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -310,7 +295,8 @@ def cmd_experiment(args) -> int:
         test = _load_dataset(entry["test_path"]) if entry.get("test_path") else None
         configs = [preset_config(name, cfg)
                    if preset and name.lower() in PRESETS else cfg for cfg, preset in methods]
-        datasets.append((where, name, ds, test, entry.get("split", 0.2), configs))
+        datasets.append((where, name, ds, test, entry.get("split", CONFIG_SCHEMA["split"][1]),
+                         configs))
     cells = []
     for seed in seeds:
         for where, name, ds, test, frac, configs in datasets:
@@ -471,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="key=value config file")
     for key, (parse, _) in CONFIG_SCHEMA.items():
         flag = "--" + key.replace("_", "-")
-        if key == "adaptive":
+        default = FIELDS[key].default if key in FIELDS else None
+        if isinstance(default, bool):
             p_train.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
-        elif key in ENUM_KEYS:
-            p_train.add_argument(flag, dest=key, choices=[e.value for e in ENUM_KEYS[key]])
+        elif isinstance(default, Enum):
+            p_train.add_argument(flag, dest=key, choices=[e.value for e in type(default)])
         else:
             p_train.add_argument(flag, dest=key, type=parse)
     p_train.add_argument("-v", "--verbose", action="store_true")

@@ -44,8 +44,13 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every hyperparameter of a run, one flat field each. The fields are the
+    command line's config keys (``C`` and ``damping`` spelled ``c`` and
+    ``lambda``), parsed as their defaults' types, and their defaults are its
+    defaults: ``TrainConfig()`` is a bare (``adaptive=False``) SGD run."""
+
     optimizer: Optimizer = Optimizer.SGD
-    adaptive: bool = True
+    adaptive: bool = False
     outer_iters: int = 10
     inner_iters: int = 10
     batch_size: int = 64

@@ -8,8 +8,16 @@ import sys
 import pytest
 
 import awwsvm
-from awwsvm.cli import main
+from awwsvm.cli import METHOD_KEYS, build_parser, build_train_config, main, resolve_config
 from awwsvm.data import load_libsvm
+from awwsvm.trainer import TrainConfig
+
+# a bad value of each enum key, and the message it gives from a config file or a manifest
+BAD_ENUM_VALUES = [
+    ("optimizer", "unknown optimizer 'zz' (choose from ['sgd', 'obfgs', 'onaq'])"),
+    ("weight_mode", "unknown weight mode 'zz' (choose from ['regularizer', 'hinge'])"),
+    ("noise_mode", "unknown noise mode 'zz' (choose from ['signed', 'rawdot'])"),
+]
 
 
 @pytest.fixture()
@@ -148,6 +156,39 @@ class TestTrainCommand:
         assert rc == 0
         assert (first / "history.csv").read_bytes() == (second / "history.csv").read_bytes()
         assert (first / "model.txt").read_bytes() == (second / "model.txt").read_bytes()
+
+    def test_default_resolved_config_pinned(self, synth_file, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synth_file), "--out", str(out)]) == 0
+        assert (out / "resolved.cfg").read_text() == (
+            "adaptive = false\nalpha0 = 1.0\nbatch_size = 64\nc = 1.0\n"
+            f"data = {synth_file}\n"
+            "eps_h = 1.0\ninner_iters = 10\nlambda = 0.2\nmu = 0.1\nnoise_mode = signed\n"
+            f"optimizer = sgd\nout = {out}\n"
+            "outer_iters = 10\nseed = 0\nsigma = 1.0\nsplit = 0.2\ntau = 10.0\n"
+            "weight_mode = regularizer\n")
+
+    def test_flags_parse_by_field_type(self, capsys):
+        args = build_parser().parse_args(["train", "--no-adaptive", "--optimizer", "onaq",
+                                          "--c", "2", "--lambda", "0.5", "--seed", "3"])
+        assert (args.adaptive, args.optimizer, args.c, getattr(args, "lambda"), args.seed) == (
+            False, "onaq", 2.0, 0.5, 3)
+        assert build_parser().parse_args(["train", "--adaptive"]).adaptive is True
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["train", "--weight-mode", "zz"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'zz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, message", BAD_ENUM_VALUES)
+    def test_bad_enum_in_config_file_is_usage_error(self, synth_file, tmp_path, capsys,
+                                                    key, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = zz\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(synth_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_flags_override_config_file(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "base.cfg"
@@ -297,6 +338,13 @@ class TestTrainCommand:
         rc = main(["train", "--config", str(cfg), "--data", str(synth_file)])
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_train_config_defaults():
+    assert build_train_config(resolve_config({}, {})) == TrainConfig()
+    assert METHOD_KEYS == {"optimizer", "adaptive", "weight_mode", "noise_mode", "sigma", "c",
+                           "alpha0", "tau", "mu", "lambda", "eps_h", "outer_iters",
+                           "inner_iters", "batch_size", "preset"}
 
 
 def _write_manifest(tmp_path, datasets, methods, seeds):
@@ -473,6 +521,8 @@ class TestExperimentCommand:
          'methods[1] {"adaptive": true, "c": 5.0, "noise_mode": "rawdot", "optimizer": "sgd"}',
          "method name 'aw+sgd' is already taken by "
          'methods[0] {"adaptive": true, "optimizer": "sgd"}'),
+        *[({"methods": [{key: "zz"}]}, f'methods[0] {{"{key}": "zz"}}', message)
+          for key, message in BAD_ENUM_VALUES],
     ])
     def test_invalid_manifest_value_names_entry(self, two_files, tmp_path, capsys,
                                                 patch, where, message):

@@ -128,8 +128,8 @@ def test_training_builds_no_scipy_matrix_per_step(monkeypatch, optimizer):
     counts = []
     for inner_iters in (2, 20):
         built.clear()
-        train(ds, ds, TrainConfig(optimizer=optimizer, outer_iters=3, inner_iters=inner_iters,
-                                  batch_size=8, alpha0=0.1, seed=4))
+        train(ds, ds, TrainConfig(optimizer=optimizer, adaptive=True, outer_iters=3,
+                                  inner_iters=inner_iters, batch_size=8, alpha0=0.1, seed=4))
         counts.append(len(built))
     # the matrices of a run are built once or once per outer round
     assert counts[0] == counts[1] > 0

@@ -124,7 +124,7 @@ class TestTrainLoop:
         # wrong side, so it is eliminated within the first few rounds
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
         eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=101)
-        _, rounds = train(train_ds, eval_ds, TrainConfig(seed=0))
+        _, rounds = train(train_ds, eval_ds, TrainConfig(adaptive=True, seed=0))
         assert rounds[2]["n_noise"] >= 1
 
     def test_clean_separable_data_never_eliminates(self):
@@ -208,7 +208,7 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer, "loss", spy)
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
         eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=101)
-        _, rounds = train(train_ds, eval_ds, TrainConfig(seed=0))
+        _, rounds = train(train_ds, eval_ds, TrainConfig(adaptive=True, seed=0))
         assert sizes == [len(train_ds) - r["n_noise"] for r in rounds]
         assert sizes[-1] < len(train_ds)
 
