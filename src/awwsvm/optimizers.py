@@ -35,6 +35,11 @@ MAX_DENSE_H_BYTES = 2**31
 # hold at most 2 * _BLOCK_ELEMS elements (512 KiB) together.
 _BLOCK_ELEMS = 2**15
 
+# Largest row block of _matvec (1 MiB of H; 64 rows at d = 2,001). OpenBLAS
+# 0.3.31 runs a gemv this size on the calling thread, so its idle workers stay
+# asleep and the bytes do not depend on the thread count; 256 x 2,001 woke one.
+_MATVEC_ELEMS = 2**17
+
 
 @dataclass
 class QuasiNewtonState:
@@ -58,7 +63,8 @@ def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
     """(I - s y^T/y.s) H (I - y s^T/y.s) + s s^T/y.s, expanded symmetrically.
 
     Overwrites the float64 array ``H`` with the update and returns it. With
-    rho = 1/y.s, u = H y and c = rho^2 y.u + rho, element (i, j) becomes
+    rho = 1/y.s, u = H y (by ``_matvec``, so with the 1-thread BLAS bytes at
+    any thread count) and c = rho^2 y.u + rho, element (i, j) becomes
     (H_ij - rho*(s_i*u_j + u_i*s_j)) + c*(s_i*s_j), rounded in that order,
     so a symmetric H stays exactly symmetric. Rows are updated in blocks
     through four small scratch buffers, so no d x d temporary is allocated:
@@ -75,7 +81,7 @@ def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
     if not _curvature_ok(s, y):
         raise ValueError(f"curvature y.s={ys} too small for a stable update")
     rho = 1.0 / ys
-    u = H @ y
+    u = _matvec(H, y)
     c = rho * rho * float(y @ u) + rho
     d = len(s)
     rows = min(d, max(1, _BLOCK_ELEMS // (2 * d)))
@@ -100,6 +106,32 @@ def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
         b *= c
         blk += b
     return H
+
+
+def _matvec(H: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H @ v for a C-ordered square H through ``_row_blocks``' fixed row
+    blocks: each runs on the calling thread and rounds its rows as the
+    1-thread H @ v does. Up to ``_MATVEC_ELEMS`` elements H is one block."""
+    if H.size <= _MATVEC_ELEMS:
+        return H @ v
+    out = np.empty(len(H))
+    start = 0
+    for stop in _row_blocks(len(H)):
+        np.matmul(H[start:stop], v, out=out[start:stop])
+        start = stop
+    return out
+
+
+def _row_blocks(d: int) -> list[int]:
+    """Stops of ``_matvec``'s row blocks over d rows. Each block starts at a
+    multiple of 4, has at least 4 rows (a shorter tail joins the block before
+    it) and at most ``_MATVEC_ELEMS`` elements (the blocks shrink by 4 rows
+    until the joined tail fits). The gemv kernel takes rows in fours: blocks
+    of 1-3 or 5 rows, or a 1-row tail, rounded differently from H @ v."""
+    rows = max(4, _MATVEC_ELEMS // d // 4 * 4)
+    while rows > 4 and 0 < d % rows < 4 and (rows + d % rows) * d > _MATVEC_ELEMS:
+        rows -= 4
+    return [*range(rows, d - 3, rows), d]
 
 
 def _curvature_ok(s: np.ndarray, y: np.ndarray) -> bool:
@@ -142,7 +174,7 @@ def _qn_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np
     """
     look = w + mu * state.v
     g1 = subgradient(look, X, y, alpha, cfg)
-    direction = -(state.H @ g1)
+    direction = -_matvec(state.H, g1)
     nrm = float(np.linalg.norm(direction))
     if nrm == 0.0:
         return w

@@ -1,4 +1,8 @@
 from dataclasses import replace
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,7 @@ import pytest
 from scipy import sparse
 
 from awwsvm import optimizers
-from awwsvm.data import Dataset
+from awwsvm.data import Dataset, save_libsvm
 from awwsvm.objective import WeightMode
 from awwsvm.optimizers import (CURVATURE_FLOOR, MAX_DENSE_H_BYTES, QuasiNewtonState,
                                bfgs_inverse_update, obfgs_step, onaq_step, sgd_step)
@@ -200,17 +204,18 @@ def _bits(a):
 
 def _outer_product_update(H, s, y):
     """Reference: the update as three full outer products, whose rounding the
-    blocked in-place update must reproduce bit for bit."""
+    blocked in-place update must reproduce bit for bit. u comes from the
+    update's own blocked product, so only the element-wise rounding is
+    compared."""
     rho = 1.0 / float(y @ s)
-    u = H @ y
+    u = optimizers._matvec(H, y)
     cross = np.outer(s, u) + np.outer(u, s)
     return H - rho * cross + (rho * rho * float(y @ u) + rho) * np.outer(s, s)
 
 
 @pytest.mark.parametrize("opt", [Optimizer.OBFGS, Optimizer.ONAQ], ids=lambda o: o.value)
 def test_training_bytes_match_outer_product_form(monkeypatch, opt):
-    # d_aug = 300 gives six row blocks per update; both runs share this
-    # process, so H @ y runs on the same number of BLAS threads
+    # d_aug = 300 gives six row blocks per update
     rng = np.random.default_rng(300)
     X = sparse.random(240, 299, density=0.05, format="csr", random_state=rng)
     y = np.where(X @ rng.normal(size=299) + 0.1 * rng.normal(size=240) >= 0, 1, -1)
@@ -234,6 +239,83 @@ def test_training_bytes_match_outer_product_form(monkeypatch, opt):
 
 def _row_bits(row):
     return {k: np.float64(v).tobytes() for k, v in row.items()}
+
+
+def test_row_blocks_fit_the_gemv_kernel():
+    # every d up to 4,096, and large ones up to the dense bound's 16,384
+    for d in [*range(1, 4097), 11_002, 16_377, 16_383, 16_384]:
+        stops = optimizers._row_blocks(d)
+        starts = [0, *stops[:-1]]
+        sizes = [b - a for a, b in zip(starts, stops)]
+        assert stops[-1] == d, d
+        assert all(a % 4 == 0 for a in starts), d
+        assert min(sizes) >= min(d, 4), d
+        assert max(sizes) * d <= optimizers._MATVEC_ELEMS or len(stops) == 1, d
+        assert (len(stops) == 1) == (d * d <= optimizers._MATVEC_ELEMS), d
+
+
+def _run_python(code, threads, *args):
+    """Run ``code`` in a fresh interpreter whose BLAS uses ``threads`` threads."""
+    env = {**os.environ, "PYTHONPATH": str(Path(optimizers.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_MATVEC_BITS = """
+import sys
+import numpy as np
+from awwsvm.optimizers import _matvec
+for d in map(int, sys.argv[1:]):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d))
+    H = (A + A.T) / 2  # A @ A.T would itself be a threaded product
+    v = rng.normal(size=d)
+    assert _matvec(H, v).tobytes() == (H @ v).tobytes(), d
+"""
+
+
+def test_matvec_has_the_one_thread_bytes():
+    # d <= 362 is one block; 363, 626 and 1,249 have a 3-, 2- and 1-row tail
+    # that would not fit joined, so their blocks shrink; 625, 802 and 803 join
+    # a 1-, 2- and 3-row tail; 364 ends in a 4-row block; 2,001 is the
+    # benchmark's d_aug
+    _run_python(_MATVEC_BITS, 1, 1, 3, 124, 362, 363, 364, 625, 626, 802, 803, 1249, 2001)
+
+
+# Prints a digest of a plain H @ g at d = 2,001, then trains an adaptive oNAQ
+# model (which takes both of _matvec's products) on the given file.
+_QN_TRAIN = """
+import hashlib
+import sys
+import numpy as np
+from awwsvm.cli import main
+rng = np.random.default_rng(2001)
+A = rng.normal(size=(2001, 2001))
+print(hashlib.sha256(((A + A.T) @ rng.normal(size=2001)).tobytes()).hexdigest())
+sys.exit(main(["train", "--data", sys.argv[1], "--optimizer", "onaq", "--adaptive",
+               "--outer-iters", "3", "--inner-iters", "5", "--out", sys.argv[2]]))
+"""
+
+
+def test_qn_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    rng = np.random.default_rng(17)
+    X = sparse.random(600, 2000, density=0.02, format="lil", random_state=rng)
+    X[0, 1999] = 1.0  # d_aug = 2,001
+    X = X.tocsr()
+    y = np.where(X @ rng.choice([-1.0, 1.0], size=2000) >= 0, 1, -1)
+    data = tmp_path / "wide.libsvm"
+    save_libsvm(Dataset(X, y), str(data))
+    outs = {t: tmp_path / f"threads{t}" for t in (1, 2)}
+    probes = {t: _run_python(_QN_TRAIN, t, data, out).split("\n", 1)[0]
+              for t, out in outs.items()}
+    if probes[1] == probes[2]:
+        pytest.skip("a plain H @ g at d = 2,001 has the same bytes under 1 and 2 BLAS "
+                    "threads (OpenBLAS may cap its threads at the core count)")
+    for name in ("model.txt", "history.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
 
 def test_dense_h_above_bound_refused_before_allocating():
