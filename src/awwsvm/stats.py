@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.stats import chi2, rankdata
+from scipy.special import chdtrc
 
 # Studentized-range-based critical values q_alpha at alpha = 0.05 for K
 # simultaneous methods (infinite degrees of freedom, divided by sqrt(2)).
@@ -46,7 +46,10 @@ def rank_rows(values: np.ndarray, higher_is_better: bool = True) -> RankTable:
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     keyed = -values if higher_is_better else values
-    ranks = np.vstack([rankdata(row, method="average") for row in keyed])
+    # a value's tied positions run from (# keyed below it) + 1 to (# at or
+    # below it); their mean is an exact half-integer
+    ranks = np.vstack([(np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1) / 2
+                       for s, row in zip(np.sort(keyed, axis=1), keyed)])
     return RankTable(values=values, ranks=ranks, mean_ranks=ranks.mean(axis=0),
                      higher_is_better=higher_is_better)
 
@@ -83,9 +86,13 @@ def pairwise_significance(rt, cd: float) -> np.ndarray:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution with ``df`` degrees of freedom."""
+    """Upper tail of the chi-square distribution with ``df`` degrees of freedom,
+    by ``scipy.special.chdtrc``: the bytes of SciPy's ``chi2.sf`` without
+    loading SciPy's ~45 MB statistics package. ``x = nan`` raises."""
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
+    if math.isnan(x):
+        raise ValueError(f"x must be a number, got x={x}")
     if x <= 0.0:
         return 1.0
-    return float(chi2.sf(x, df))
+    return float(chdtrc(df, x))

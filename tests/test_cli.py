@@ -704,6 +704,23 @@ class TestStatsCommand:
                                                           "aw+sgd,true,false,false\n"
                                                           "onaq,false,false,false\n")
 
+    # SciPy's statistics package costs every process ~45 MB; the ranks and the
+    # chi-square tail come from numpy and scipy.special instead
+    def test_stats_command_loads_no_scipy_stats(self, results_csv, tmp_path):
+        code = ("import sys\n"
+                "import awwsvm, awwsvm.cli\n"
+                "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+                "print(loaded())\n"
+                "rc = awwsvm.cli.main(['stats', '--results', sys.argv[1], '--out', sys.argv[2]])\n"
+                "print(rc, loaded())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(awwsvm.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(results_csv), str(tmp_path / "stats")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "0 []")
+        assert (tmp_path / "stats" / "stats_report.txt").exists()
+
     def test_single_method_is_error(self, results_csv, tmp_path, capsys):
         text = [l for l in results_csv.read_text().splitlines()
                 if l.startswith("dataset") or ",sgd," in l]

@@ -1,3 +1,6 @@
+import math
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.stats
@@ -39,6 +42,17 @@ def naive_average_ranks(row):
     return ranks
 
 
+# few distinct values, both signed zeros: rows full of ties
+TIE_VALUES = [-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    n, k = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    cells = draw(st.lists(st.sampled_from(TIE_VALUES), min_size=n * k, max_size=n * k))
+    return np.array(cells).reshape(n, k)
+
+
 class TestRankRows:
     def test_simple_row(self):
         rt = rank_rows(np.array([[0.9, 0.8, 0.7], [0.1, 0.2, 0.3]]))
@@ -61,6 +75,15 @@ class TestRankRows:
             rt = rank_rows(vals)
             for i in range(n):
                 np.testing.assert_allclose(rt.ranks[i], naive_average_ranks(vals[i]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tie_heavy_tables(), st.booleans())
+    def test_bitwise_equal_to_scipy_rankdata(self, vals, higher_is_better):
+        keyed = -vals if higher_is_better else vals
+        ref = np.vstack([scipy.stats.rankdata(row, method="average") for row in keyed])
+        ranks = rank_rows(vals, higher_is_better).ranks
+        assert (ranks.dtype, ranks.shape) == (ref.dtype, ref.shape)
+        assert ranks.tobytes() == ref.tobytes()
 
     def test_row_sums_exact(self):
         rng = np.random.default_rng(19)
@@ -114,6 +137,10 @@ class TestFriedman:
             assert 0.0 <= p <= 1.0
 
 
+# from the smallest subnormal through the usual critical values to inf
+CHI2_GRID = [5e-324, 1e-300, 1e-10, 0.5, 1.0, 3.84, 11.07, 48.2, 1e3, 1e5, 1e300, math.inf]
+
+
 class TestChi2Tail:
     def test_matches_scipy_within_1e10(self):
         rng = np.random.default_rng(23)
@@ -123,6 +150,19 @@ class TestChi2Tail:
             ours = chi2_sf(x, df)
             ref = scipy.stats.chi2.sf(x, df)
             assert ours == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+    def test_bitwise_equal_to_scipy(self):
+        rng = np.random.default_rng(25)
+        cases = [(x, df) for df in range(1, 41) for x in CHI2_GRID]
+        cases += [(float(np.exp(rng.uniform(-30.0, 8.0))), int(rng.integers(1, 60)))
+                  for _ in range(2000)]
+        for x, df in cases:
+            assert chi2_sf(x, df).hex() == float(scipy.stats.chi2.sf(x, df)).hex(), (x, df)
+
+    def test_nan_raises_inf_is_zero(self):
+        with pytest.raises(ValueError, match="x="):
+            chi2_sf(math.nan, 3)
+        assert chi2_sf(math.inf, 3) == 0.0
 
     def test_published_critical_value(self):
         # df=5 upper 5% point is 11.0705
