@@ -6,15 +6,16 @@ The on-disk format is the LIBSVM/SVMlight one: each nonempty line is
 indices. ``#`` starts a comment running to end of line; blank lines are
 ignored. Source labels may be {-1,+1}, {0,1} or {1,2}; the numerically larger
 of the two observed labels is mapped to +1 and the mapping is recorded on the
-dataset.
+dataset. Files are UTF-8 text, read and parsed a block of lines at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import io
+import itertools
 import math
-from typing import Iterator
+import re
+from typing import Iterable, Iterator
 import warnings
 
 import numpy as np
@@ -133,9 +134,13 @@ class Dataset:
 
 # lines parsed per block, and rows formatted per written chunk
 _BLOCK_LINES = 4096
+# rows of a block whose feature tokens are split at once
+_SPLIT_ROWS = 256
 _INT64_MAX = np.iinfo(np.int64).max
 # one idx:val feature token, as a line of numpy's C text reader
 _FEATURE = np.dtype([("i", np.int64), ("v", np.float64)])
+# what errors="surrogateescape" decodes an undecodable byte to
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _c_reader_ints_are_strict() -> bool:
@@ -145,7 +150,7 @@ def _c_reader_ints_are_strict() -> bool:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         try:
-            np.loadtxt(io.StringIO("1.0"), dtype=np.int64, ndmin=1)
+            np.loadtxt(["1.0"], dtype=np.int64, ndmin=1)
         except ValueError:
             return True
     return False
@@ -159,31 +164,39 @@ def parse_libsvm(text: str) -> Dataset:
 
     Raises ParseError (with the 1-based line number) on malformed tokens,
     feature indices beyond int64, non-finite feature values, non-ascending
-    indices, or more than two distinct labels. An input with no samples is
-    an error.
+    indices, more than two distinct labels, or a character U+DC80..U+DCFF,
+    which stands for a byte that is not UTF-8 in text decoded with
+    ``errors="surrogateescape"``. An input with no samples is an error.
 
     Lines are parsed a block at a time. Labels go through ``float()``; the
     feature tokens go through numpy's C text reader (``np.loadtxt``), one
     token per line. Its int64 field takes ASCII digits with an optional sign
     and refuses anything else; its float64 field is converted by
     ``PyOS_string_to_double``, as in ``float()``. So every token it accepts
-    gets the value ``int()``/``float()`` give. A block whose tokens hold
-    non-ASCII text, that the reader refuses or that fails a check is parsed
-    again by ``_parse_lines`` with ``int()`` and ``float()``: it accepts what
-    those accept (``1_0``, non-ASCII digits) and otherwise names the first
-    offending line.
+    gets the value ``int()``/``float()`` give. A block holding non-ASCII
+    text, or one whose tokens the reader refuses or that fails a check, is
+    parsed again by ``_parse_lines`` with ``int()`` and ``float()``: it
+    accepts what those accept (``1_0``, non-ASCII digits) and otherwise names
+    the first offending line.
     """
-    lines = text.splitlines()
+    return _parse_stream(text.splitlines())
+
+
+def _parse_stream(lines: Iterable[str]) -> Dataset:
+    """The Dataset of ``lines``, read and parsed ``_BLOCK_LINES`` at a time."""
+    lines = iter(lines)
     observed: set[int] = set()
     blocks = []
-    for start in range(0, len(lines), _BLOCK_LINES):
-        chunk = lines[start:start + _BLOCK_LINES]
-        block = _parse_block(chunk, observed) or _parse_lines(chunk, start + 1, observed)
+    start = 1
+    while chunk := list(itertools.islice(lines, _BLOCK_LINES)):
+        block = _parse_block(chunk, observed) or _parse_lines(chunk, start, observed)
         observed.update(block[0].tolist())
         blocks.append(block)
+        start += len(chunk)
     if not observed:
         raise ParseError("empty dataset: no samples found")
     labels, counts, cols, vals = (np.concatenate(parts) for parts in zip(*blocks))
+    blocks.clear()  # the per-block arrays go before the matrix is built
 
     label_map = _label_mapping(observed)
     y = np.empty_like(labels)
@@ -199,7 +212,7 @@ def _parse_block(lines: list[str], observed: set[int]):
     """(labels, features per row, 0-based columns, values) of the nonempty
     lines, or None when the C reader refuses a token or any check fails;
     ``observed`` holds the labels of earlier blocks."""
-    if not _C_READER:
+    if not (_C_READER and all(map(str.isascii, lines))):
         return None
     label_toks: list[str] = []
     counts: list[int] = []
@@ -213,18 +226,16 @@ def _parse_block(lines: list[str], observed: set[int]):
             rest = parts[1] if len(parts) == 2 else ""
             counts.append(rest.count(":"))
             rests.append(rest)
-    # within a line, ASCII whitespace is ' ', '\t' or '\x1f': breaking the
-    # lines there puts one token on each nonempty line, and the reader skips
-    # empty ones. Text beyond ASCII is left to _parse_lines.
-    text = "\n".join(rests)
-    if not text.isascii():
-        return None
-    text = text.replace(" ", "\n").replace("\t", "\n").replace("\x1f", "\n")
     try:
         labels = np.fromiter(map(float, label_toks), np.float64, len(label_toks))
-        feats = (np.loadtxt(io.StringIO(text), dtype=_FEATURE, delimiter=":",
-                            comments=None, quotechar=None, ndmin=1)
-                 if text.strip() else np.empty(0, dtype=_FEATURE))  # no data warns
+        # the reader takes each idx:val token as a line. Within ASCII lines,
+        # str.split() breaks at ' ', '\t' and '\x1f', as _parse_lines does;
+        # tokens are made _SPLIT_ROWS rows at a time, not for the whole block
+        tokens = itertools.chain.from_iterable(" ".join(rests[i:i + _SPLIT_ROWS]).split()
+                                               for i in range(0, len(rests), _SPLIT_ROWS))
+        feats = (np.loadtxt(tokens, dtype=_FEATURE, delimiter=":", comments=None, quotechar=None,
+                            ndmin=1)
+                 if any(rests) else np.empty(0, dtype=_FEATURE))  # no data warns
     except ValueError:
         return None
     idx, vals = feats["i"], feats["v"]
@@ -252,6 +263,8 @@ def _parse_lines(lines: list[str], first_lineno: int, observed: set[int]):
     cols: list[int] = []
     vals: list[float] = []
     for lineno, line in enumerate(lines, start=first_lineno):
+        if bad := _UNDECODED.search(line):
+            raise ParseError(f"line {lineno}: byte {ord(bad[0]) - 0xdc00:#04x} is not UTF-8")
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -321,8 +334,17 @@ def to_libsvm(ds: Dataset) -> str:
 
 
 def load_libsvm(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh.read())
+    """``parse_libsvm`` of the file's UTF-8 text, read a block of lines at a
+    time; a byte that is not UTF-8 is a ParseError naming its line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse_stream(itertools.chain.from_iterable(map(str.splitlines, _text_chunks(fh))))
+
+
+def _text_chunks(fh) -> Iterator[str]:
+    """The text of ``fh`` in ~1 MiB pieces, each cut after a universal newline
+    or at the end, so their lines are those of ``fh.read().splitlines()``."""
+    while chunk := fh.read(1 << 20):
+        yield chunk + fh.readline()
 
 
 def save_libsvm(ds: Dataset, path: str) -> None:

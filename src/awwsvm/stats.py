@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import chdtrc
 
 # Studentized-range-based critical values q_alpha at alpha = 0.05 for K
 # simultaneous methods (infinite degrees of freedom, divided by sqrt(2)).
@@ -88,7 +87,11 @@ def pairwise_significance(rt, cd: float) -> np.ndarray:
 def chi2_sf(x: float, df: int) -> float:
     """Upper tail of the chi-square distribution with ``df`` degrees of freedom,
     by ``scipy.special.chdtrc``: the bytes of SciPy's ``chi2.sf`` without
-    loading SciPy's ~45 MB statistics package. ``x = nan`` raises."""
+    loading SciPy's ~45 MB statistics package. ``scipy.special`` (~5.6 MiB)
+    is imported on the first call, so only ``stats`` pays for it.
+    ``x = nan`` raises."""
+    from scipy.special import chdtrc
+
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if math.isnan(x):

@@ -133,6 +133,32 @@ class TestTrainCommand:
         assert rc == 2
         assert "absent.libsvm" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_2_names_line(self, synth_file, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(synth_file.read_bytes() + b"+1 1:0.5 # \xff\n")
+        rc = main(["train", "--data", str(bad), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 81: byte 0xff is not UTF-8\n"
+        assert not (tmp_path / "run").exists()
+
+    # scipy.special costs a process ~5.6 MiB; only the stats command's
+    # chi-square tail uses it
+    def test_train_loads_no_scipy_special(self, synth_file, tmp_path):
+        code = ("import sys\n"
+                "import awwsvm, awwsvm.cli\n"
+                "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy.special'))\n"
+                "print(loaded())\n"
+                "rc = awwsvm.cli.main(['train', '--data', sys.argv[1], '--optimizer', 'onaq',\n"
+                "                      '--adaptive', '--out', sys.argv[2]])\n"
+                "print(rc, loaded())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(awwsvm.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(synth_file), str(tmp_path / "run")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "0 []")
+        assert (tmp_path / "run" / "model.txt").exists()
+
     def test_same_seed_byte_identical_history(self, synth_file, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -604,6 +630,17 @@ class TestExperimentCommand:
         assert rc == 2
         want = "cannot split" if case == "split" else f"dataset file not found: {absent}"
         assert want in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_dataset_is_usage_error_naming_line(self, two_files, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(b"+1 1:1\r\n-1 2:1\r\n+1 1:\xc3\r\n")
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}, {"path": str(bad)}],
+                                   [{}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xc3 is not UTF-8\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

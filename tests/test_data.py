@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, parse_libsvm, split,
-                         synth_two_gaussians, to_libsvm)
+from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, load_libsvm, parse_libsvm,
+                         split, synth_two_gaussians, to_libsvm)
 
 
 class TestParse:
@@ -225,3 +227,42 @@ class TestMinibatchSampler:
         s.drop([1])
         with pytest.raises(ValueError, match="no active index"):
             s.drop([0, 2])
+
+
+class TestLoad:
+    @pytest.mark.parametrize("raw, message", [
+        (b"+1 1:1\n-1 2:1 # caf\xe9\n", "line 2: byte 0xe9 is not UTF-8"),
+        (b"+1 1:1\r-1 2:1\r\r\n\xff 1:1\r", "line 4: byte 0xff is not UTF-8"),
+        # a cut two-byte sequence, in the second block of lines
+        (b"+1 1:1\n" * 5000 + b"+1 1:\xc3\n", "line 5001: byte 0xc3 is not UTF-8"),
+        # an earlier malformed line is named first
+        (b"+1 1:x\n\xff\n", "line 1: bad feature token '1:x'"),
+    ], ids=["comment", "cr-breaks", "later-block", "earlier-error"])
+    def test_non_utf8_byte_is_parse_error_naming_its_line(self, tmp_path, raw, message):
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as exc:
+            load_libsvm(str(path))
+        assert str(exc.value) == message
+
+    # (rows, features per row, bound on the peak over the file size). One block
+    # of 4,000 long lines peaked at ~9.1x the file size with a copy of the block
+    # at 4 bytes per character for numpy's reader, and peaks at ~3.4x without
+    # it; 40,000 short lines peaked at ~3.1x with the whole text read first,
+    # and peak at ~2.1x read a block of lines at a time
+    @pytest.mark.parametrize("rows, feats, bound", [(4000, 40, 5.0), (40_000, 4, 2.7)])
+    def test_peak_memory_stays_within_a_few_file_sizes(self, tmp_path, rows, feats, bound):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "dense.libsvm"
+        path.write_text("".join(("+1" if i % 2 else "-1")
+                                + "".join(f" {j}:{v!r}" for j, v in enumerate(row, start=1)) + "\n"
+                                for i, row in enumerate(rng.uniform(-1, 1, (rows, feats)).tolist())))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(ds), ds.X.nnz) == (rows, rows * feats)
+        assert peak < bound * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from awwsvm import data
-from awwsvm.data import Dataset, MinibatchSampler, ParseError, Sample, parse_libsvm, to_libsvm
+from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, load_libsvm, parse_libsvm,
+                         to_libsvm)
 
 
 class SetFilterSampler:
@@ -170,6 +171,24 @@ class TestSamplerMatchesSetFilter:
         assert_same_stream(n, batch_size, seed, 40, shrinks, schedule_seed)
 
 
+# lines of LIBSVM text, well-formed or not: blank, comments, bad labels and
+# bad, repeated or unordered feature tokens
+fuzzed_lines = st.lists(st.one_of(
+    st.just(""), st.just("# note"),
+    st.builds(lambda lab, feats, sep, tail: sep.join([lab, *feats]) + tail,
+              st.sampled_from(["+1", "-1", "0", "1", "2", "1.0", "-0", "3", "x", "nan"]),
+              st.lists(st.builds(lambda i, c, v: f"{i}{c}{v}",
+                                 st.sampled_from(["1", "2", "3", "07", "1_0", "0", "-2", "",
+                                                  "x", "1.0", "3000000000"]),
+                                 st.sampled_from([":", ":", ":", "::", ""]),
+                                 st.sampled_from(["1", "-2.5", "1e3", "0.0", "-0.0", "1_5",
+                                                  "", "nan", "inf", "0x1", ":"])),
+                       max_size=4),
+              st.sampled_from([" ", "\t", "  "]),
+              st.sampled_from(["", " ", " # c", "#x:y"]))),
+    max_size=8)
+
+
 class TestParserMatchesScalarReference:
     @pytest.mark.parametrize("bad", [
         "+1 1:2:3 4", "+1 1:", "+1 :1", "+1 1::2", "+1 1:0x10", "+1 1.0:1",
@@ -206,20 +225,7 @@ class TestParserMatchesScalarReference:
             parse_libsvm("+1 1:1\n-1 9223372036854775808:1")
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.one_of(
-        st.just(""), st.just("# note"),
-        st.builds(lambda lab, feats, sep, tail: sep.join([lab, *feats]) + tail,
-                  st.sampled_from(["+1", "-1", "0", "1", "2", "1.0", "-0", "3", "x", "nan"]),
-                  st.lists(st.builds(lambda i, c, v: f"{i}{c}{v}",
-                                     st.sampled_from(["1", "2", "3", "07", "1_0", "0", "-2", "",
-                                                      "x", "1.0", "3000000000"]),
-                                     st.sampled_from([":", ":", ":", "::", ""]),
-                                     st.sampled_from(["1", "-2.5", "1e3", "0.0", "-0.0", "1_5",
-                                                      "", "nan", "inf", "0x1", ":"])),
-                           max_size=4),
-                  st.sampled_from([" ", "\t", "  "]),
-                  st.sampled_from(["", " ", " # c", "#x:y"]))),
-        max_size=8))
+    @given(fuzzed_lines)
     def test_fuzzed_text_matches(self, lines):
         assert_parses_like_reference("\n".join(lines))
 
@@ -321,6 +327,51 @@ class TestCReaderPath:
             warnings.simplefilter("error")
             ds = parse_libsvm("+1\n-1\n" * 3000)
         assert len(ds) == 6000 and ds.X.nnz == 0 and ds.dim == 0
+
+
+def assert_loads_like_parse(path, raw: bytes) -> None:
+    """``load_libsvm`` of a file holding ``raw`` gives the dataset, or the
+    ParseError text, that ``parse_libsvm`` gives on the file's text."""
+    path.write_bytes(raw)
+    try:
+        want = parse_libsvm(path.read_text(encoding="utf-8"))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_libsvm(str(path))
+        assert str(got.value) == str(exc)
+        return
+    assert_same_dataset(load_libsvm(str(path)), want)
+
+
+# a universal newline, or a break only str.splitlines makes
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
+
+
+class TestLoadMatchesParse:
+    """The file is read a block of lines at a time; its lines, and so the
+    dataset or the error, are those of the whole text."""
+
+    def test_generated_files(self, tmp_path):
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.one_of(numeric_texts().map(str.splitlines), fuzzed_lines),
+               st.sampled_from(LINE_BREAKS), st.booleans())
+        def check(lines, brk, final_break):
+            text = brk.join(lines) + (brk if final_break else "")
+            assert_loads_like_parse(tmp_path / "data.libsvm", text.encode("utf-8"))
+        check()
+
+    @pytest.mark.parametrize("raw", [
+        b"",
+        b"\n\n \r\n\t\r\x0c",
+        b"+1 1:1\r\n-1 2:1\r\r\n+1 3:1\x0c\x0c-1 # e\xe2\x80\xa8+1 4:2\n\x0b0 1:1",
+        b"+1 1:1 2:0.5\n" * 5000 + b"-1 1:x\n",
+        b"+1 1:1 2:0.5\r" * 5000 + b"# \xc3\xa9\r-1 3:1\r2 1:1\r",
+        # one 2.4 MB line: longer than the 1 MiB pieces the file is read in
+        b"+1 " + " ".join(f"{i}:0.5" for i in range(1, 200_001)).encode() + b"\n-1 7:1\n",
+    ], ids=["empty", "blank-only", "mixed-breaks", "error-after-block", "cr-later-block",
+            "long-line"])
+    def test_edge_files(self, tmp_path, raw):
+        assert_loads_like_parse(tmp_path / "data.libsvm", raw)
 
 
 @st.composite
