@@ -72,13 +72,23 @@ MANIFEST_KEYS = {"datasets", "methods", "seeds", "train"}
 WEIGHTS_COLUMNS = ["outer_iter", "alpha_min", "alpha_mean", "alpha_max", "n_noise"]
 
 
+def _read_utf8(path, what: str) -> str:
+    """The text of the ``what`` file at ``path``, line breaks untranslated; a missing
+    file or a byte that is not UTF-8 is a usage error naming the file (and line)."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw.decode("utf-8")
+    except FileNotFoundError:
+        raise CliError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        raise CliError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+
+
 def read_config_file(path: str) -> dict:
     """Flat ``key = value`` file; '#' comments and blank lines are ignored."""
     values: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}") from None
+    text = _read_utf8(path, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -253,9 +263,7 @@ def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     try:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"manifest not found: {args.manifest}") from None
+        manifest = json.loads(_read_utf8(args.manifest, "manifest"))
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.manifest}: invalid JSON: {exc}") from None
     _check_keys(manifest, MANIFEST_KEYS, args.manifest)
@@ -358,11 +366,13 @@ def _print_summary(entries: list[dict]) -> None:
 
 def cmd_stats(args) -> int:
     path = Path(args.results)
-    if not path.exists():
-        raise CliError(f"results file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        finals = [(reader.line_num, r) for r in reader if r.get("outer_iter") == "final"]
+    try:  # streamed: the results of a large sweep are not held as one string
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            finals = [(reader.line_num, r) for r in reader if r.get("outer_iter") == "final"]
+    except (FileNotFoundError, UnicodeDecodeError):
+        _read_utf8(path, "results file")  # raises the usage error naming the file
+        raise
     if not finals:
         raise CliError("results contain no 'final' rows")
     metric = args.metric
@@ -406,20 +416,13 @@ def cmd_stats(args) -> int:
              f"datasets: {len(datasets)}  methods: {len(methods)}",
              f"friedman chi2 = {chi2:.4f}   p = {p:.6g}",
              f"critical difference (q={q:.3f}, alpha={args.alpha}) = {cd:.4f}",
-             "mean ranks (1 = best):"]
-    order = np.argsort(rt.mean_ranks)
-    for j in order:
-        lines.append(f"  {methods[j]:<16} {rt.mean_ranks[j]:.4f}")
-    lines.append("significant pairs (|rank diff| > CD):")
-    any_sig = False
-    for i in range(len(methods)):
-        for j in range(i + 1, len(methods)):
-            if sig[i, j]:
-                any_sig = True
-                diff = abs(rt.mean_ranks[i] - rt.mean_ranks[j])
-                lines.append(f"  {methods[i]} vs {methods[j]}  (diff {diff:.4f})")
-    if not any_sig:
-        lines.append("  none")
+             "mean ranks (1 = best):",
+             *(f"  {methods[j]:<16} {rt.mean_ranks[j]:.4f}" for j in np.argsort(rt.mean_ranks)),
+             "significant pairs (|rank diff| > CD):"]
+    r = rt.mean_ranks
+    lines += [f"  {methods[i]} vs {methods[j]}  (diff {abs(r[i] - r[j]):.4f})"
+              for i in range(len(methods)) for j in range(i + 1, len(methods)) if sig[i, j]
+              ] or ["  none"]
     text = "\n".join(lines) + "\n"
     (out / "stats_report.txt").write_text(text, encoding="utf-8")
     print(text, end="")

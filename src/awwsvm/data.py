@@ -417,11 +417,11 @@ class RowBatch:
 
     @classmethod
     def gather(cls, X: sparse.csr_matrix, idx: np.ndarray) -> "RowBatch":
-        starts = X.indptr[idx]
-        counts = X.indptr[idx + 1] - starts
-        rows = np.repeat(np.arange(len(idx)), counts)
-        # batch entry e of row r is X entry starts[r] + e - (r's first batch entry)
-        pos = np.arange(len(rows)) + (starts + counts - np.cumsum(counts))[rows]
+        ends = X.indptr[idx + 1]
+        counts = ends - X.indptr[idx]
+        rows = np.arange(len(idx)).repeat(counts)
+        # batch entry e of row r is X entry (r's start) + e - (r's first batch entry)
+        pos = np.arange(len(rows)) + (ends - counts.cumsum())[rows]
         return cls(rows, X.indices[pos], X.data[pos], (len(idx), X.shape[1]))
 
     @property

@@ -51,12 +51,9 @@ def confusion_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Confus
         raise ValueError("prediction/label length mismatch")
     pos = y_true == 1
     pred_pos = y_pred == 1
-    return ConfusionMatrix(
-        tp=int(np.sum(pos & pred_pos)),
-        fn=int(np.sum(pos & ~pred_pos)),
-        fp=int(np.sum(~pos & pred_pos)),
-        tn=int(np.sum(~pos & ~pred_pos)),
-    )
+    tp = int(np.count_nonzero(pos & pred_pos))
+    n_pos, n_pred = int(np.count_nonzero(pos)), int(np.count_nonzero(pred_pos))
+    return ConfusionMatrix(tp=tp, fn=n_pos - tp, fp=n_pred - tp, tn=pos.size - n_pos - n_pred + tp)
 
 
 def confusion(m: LinearModel, ds: Dataset) -> ConfusionMatrix:

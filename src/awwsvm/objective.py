@@ -13,6 +13,9 @@ functions are agnostic to that convention.
 run's ``TrainConfig``, and check nothing: they expect a non-empty float64
 batch and weights in [0, 1] without NaN. ``train()`` guarantees both through
 its sampler and its weights, made from distances it checks to be finite.
+``X`` is a CSR matrix, a 2-D ndarray, a ``data.RowBatch`` or (``loss`` only)
+the trainer's ``_ActiveRows``: each ``X @ w`` and ``X.T @ v`` is a new 1-D
+float64 array.
 """
 
 from __future__ import annotations
@@ -28,16 +31,17 @@ class WeightMode(Enum):
 
 
 def _margins(w: np.ndarray, X, y: np.ndarray) -> np.ndarray:
-    return y * (np.asarray(X @ w).ravel())
+    return y * (X @ w)
 
 
 def loss(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg) -> float:
     """Batch-mean weighted soft-margin objective value."""
+    k = len(y)
     hinge = np.maximum(0.0, 1.0 - _margins(w, X, y))
     sq = float(w @ w)
     if cfg.weight_mode is WeightMode.REGULARIZER:
-        return float(alpha.mean() * cfg.C / 2.0 * sq + hinge.mean())
-    return float(cfg.C / 2.0 * sq + (alpha * hinge).mean())
+        return float(np.add.reduce(alpha) / k * cfg.C / 2.0 * sq + np.add.reduce(hinge) / k)
+    return float(cfg.C / 2.0 * sq + np.add.reduce(alpha * hinge) / k)
 
 
 def subgradient(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg) -> np.ndarray:
@@ -46,9 +50,10 @@ def subgradient(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg) -> np.n
     viol = _margins(w, X, y) < 1.0
     if cfg.weight_mode is WeightMode.REGULARIZER:
         coef = y
-        reg = alpha.mean() * cfg.C * w
+        reg = np.add.reduce(alpha) / k * cfg.C * w
     else:
         coef = alpha * y
         reg = cfg.C * w
-    pull = np.asarray(X.T @ np.where(viol, coef, 0.0)).ravel() / k
+    pull = X.T @ np.where(viol, coef, 0.0)
+    pull /= k
     return reg - pull

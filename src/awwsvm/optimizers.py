@@ -19,6 +19,7 @@ expect a batch fit for ``subgradient`` and finite eps_h > 0, damping >= 0 and
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -135,7 +136,7 @@ def _row_blocks(d: int) -> list[int]:
 
 
 def _curvature_ok(s: np.ndarray, y: np.ndarray) -> bool:
-    return float(y @ s) > CURVATURE_FLOOR * np.linalg.norm(s) * np.linalg.norm(y)
+    return float(y @ s) > CURVATURE_FLOOR * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y))
 
 
 def sgd_step(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray,
@@ -175,7 +176,7 @@ def _qn_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np
     look = w + mu * state.v
     g1 = subgradient(look, X, y, alpha, cfg)
     direction = -_matvec(state.H, g1)
-    nrm = float(np.linalg.norm(direction))
+    nrm = math.sqrt(direction.dot(direction))
     if nrm == 0.0:
         return w
     direction /= nrm

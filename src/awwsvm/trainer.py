@@ -181,8 +181,8 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
 
             model = LinearModel.from_augmented(w, label_map=train_ds.label_map)
             if cfg.adaptive:
-                geo_norm = float(np.linalg.norm(model.w))  # inf once ||w||^2 overflows
-                if not np.isfinite(geo_norm):
+                geo_norm = math.sqrt(model.w.dot(model.w))  # inf once ||w||^2 overflows
+                if not math.isfinite(geo_norm):
                     raise TrainingError(f"squared weight norm overflowed in outer round {outer}")
                 if geo_norm > 0.0:
                     dist = decision_values(model, train_ds.X) / geo_norm
@@ -210,7 +210,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                 "outer_iter": outer,
                 **{col: getattr(rep, col) for col in METRIC_COLUMNS},
                 "train_loss": train_loss,
-                "n_noise": int(np.sum(~active)),
+                "n_noise": int(np.count_nonzero(~active)),
                 "alpha_min": float(a_act.min()),
                 "alpha_mean": float(a_act.mean()),
                 "alpha_max": float(a_act.max()),

@@ -90,8 +90,8 @@ def detect_noise(signed_distances: np.ndarray, labels: np.ndarray, active: np.nd
             continue
         if mode is NoiseMode.SIGNED_SIDE:
             d = signed_distances[idx]
-            n_pos = int(np.sum(d > 0))
-            n_neg = int(np.sum(d < 0))
+            n_pos = int(np.count_nonzero(d > 0))
+            n_neg = int(np.count_nonzero(d < 0))
             local = (d == 0) | ((d > 0) & (n_pos == 1)) | ((d < 0) & (n_neg == 1))
         elif mode is NoiseMode.RAW_DOT:
             if X is None:

@@ -365,6 +365,15 @@ class TestTrainCommand:
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_non_utf8_config_file_exit_2_names_line(self, synth_file, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"optimizer = onaq\r\n# \xff\r\nseed = 1\r\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(synth_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: byte 0xff is not UTF-8\n"
+        assert not out.exists()
+
 
 def test_cli_defaults_are_train_config_defaults():
     assert build_train_config(resolve_config({}, {})) == TrainConfig()
@@ -643,6 +652,16 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xc3 is not UTF-8\n"
         assert not out.exists()
 
+    def test_non_utf8_manifest_is_usage_error_naming_line(self, two_files, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], [{}], seeds=[0])
+        text = manifest.read_bytes().replace(b'"seeds"', b'\n"\xe9": 1, "seeds"')
+        manifest.write_bytes(text)
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {manifest}: line 2: byte 0xe9 is not UTF-8\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_cell_recorded_in_failures(self, two_files, tmp_path):
         manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}],
@@ -816,6 +835,20 @@ class TestStatsCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    # the file is read in pieces; 1,000 rows ahead put the byte past the first one
+    @pytest.mark.parametrize("pad", [0, 1000])
+    def test_non_utf8_results_file_is_usage_error_naming_line(self, results_csv, tmp_path,
+                                                               capsys, pad):
+        lines = results_csv.read_bytes().splitlines(keepends=True)
+        results_csv.write_bytes(b"".join(lines[:3]) + lines[1] * pad +
+                                lines[3].replace(b"d1", b"d\xff") + b"".join(lines[4:]))
+        out = tmp_path / "stats"
+        rc = main(["stats", "--results", str(results_csv), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {results_csv}: line {4 + pad}: byte 0xff is not UTF-8\n")
         assert not out.exists()
 
 

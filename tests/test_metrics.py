@@ -28,6 +28,18 @@ class TestConfusion:
             assert (cm.tp, cm.fn) == (cm_flip.fn, cm_flip.tp)
             assert (cm.fp, cm.tn) == (cm_flip.tn, cm_flip.fp)
 
+    def test_counts_equal_the_four_masks(self):
+        # tp and the two marginals give fn, fp and tn; any label not 1 is negative
+        rng = np.random.default_rng(15)
+        for n in (0, 1, 7, 500):
+            y = rng.choice([-1, 0, 1, 2], size=n)
+            p = rng.choice([-1, 1], size=n)
+            pos, pred = y == 1, p == 1
+            cm = confusion_from_predictions(y, p)
+            assert (cm.tp, cm.fn, cm.fp, cm.tn) == tuple(
+                int(np.sum(m)) for m in (pos & pred, pos & ~pred, ~pos & pred, ~pos & ~pred))
+            assert cm.total == n
+
     def test_model_on_dataset(self):
         ds = parse_libsvm("+1 1:2.0\n-1 1:-3.0\n+1 1:-0.5")
         m = LinearModel(w=np.array([1.0]), b=0.0)

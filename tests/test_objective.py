@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from awwsvm.data import RowBatch
 from awwsvm.objective import WeightMode, loss, subgradient
-from awwsvm.trainer import TrainConfig
+from awwsvm.trainer import TrainConfig, _ActiveRows
 
 REG = TrainConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
 HIN = TrainConfig(C=1.0, weight_mode=WeightMode.HINGE)
@@ -105,3 +108,51 @@ class TestSubgradient:
         g_full = subgradient(np.zeros(2), X, y, np.array([1.0]), HIN)
         g_half = subgradient(np.zeros(2), X, y, np.array([0.5]), HIN)
         np.testing.assert_allclose(g_half, 0.5 * g_full)
+
+
+def _kind(name, X, rng):
+    """(X as ``name``, its CSR reference rows)."""
+    if name == "csr":
+        return X, X
+    if name == "dense":
+        return X.toarray(), X
+    if name == "row_batch":
+        idx = rng.integers(0, X.shape[0], size=int(rng.integers(1, 2 * X.shape[0] + 1)))
+        return RowBatch.gather(X, idx), X[idx]
+    keep = rng.random(X.shape[0]) < 0.6
+    keep[rng.integers(X.shape[0])] = True
+    return _ActiveRows(X, keep), X[keep]
+
+
+class TestInputContract:
+    """Every X the library passes gives the objective the bytes of its CSR
+    rows, and ``X @ w`` (and ``X.T @ v``) is a fresh 1-D float64 array. The
+    features are small integers and w and the weights lie on a 1/16 grid, so
+    every sum is exact and the dense BLAS product, which adds in another
+    order, must match too. ``_ActiveRows`` serves ``loss`` only."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["csr", "dense", "row_batch", "active_rows"]),
+           st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32 - 1),
+           st.sampled_from(list(WeightMode)), st.sampled_from([0.5, 1.0, 3.0]))
+    def test_kind_matches_csr_bytes(self, kind, n, d, seed, mode, C):
+        rng = np.random.default_rng(seed)
+        dense = rng.integers(-4, 5, size=(n, d)).astype(float)
+        dense[rng.random((n, d)) < 0.5] = 0.0
+        X, ref = _kind(kind, sparse.csr_matrix(dense), rng)
+        k = ref.shape[0]
+        y = rng.choice([-1.0, 1.0], size=k)
+        alpha = rng.integers(0, 17, size=k) / 16
+        w = rng.integers(-8, 9, size=d) / 16
+        cfg = TrainConfig(C=C, weight_mode=mode)
+        products = [X @ w]
+        if kind != "active_rows":
+            products.append(X.T @ y)
+            got, want = subgradient(w, X, y, alpha, cfg), subgradient(w, ref, y, alpha, cfg)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for out in products:
+            assert type(out) is np.ndarray and out.ndim == 1 and out.dtype == np.float64
+            assert out.base is None  # subgradient divides X.T @ v in place
+        assert products[0].tobytes() == (ref @ w).tobytes()
+        assert np.float64(loss(w, X, y, alpha, cfg)).tobytes() == \
+            np.float64(loss(w, ref, y, alpha, cfg)).tobytes()
