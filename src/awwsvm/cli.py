@@ -223,8 +223,10 @@ def cmd_train(args) -> int:
 
 def _coerce(key: str, value):
     """Cast a JSON manifest value with the parser ``key`` has for flags and
-    config files; a non-string value is parsed from its JSON text."""
-    return CONFIG_SCHEMA[key][0](value if isinstance(value, str) else json.dumps(value))
+    config files (``preset`` is a boolean); a non-string value is parsed from
+    its JSON text."""
+    parse = _parse_bool if key == "preset" else CONFIG_SCHEMA[key][0]
+    return parse(value if isinstance(value, str) else json.dumps(value))
 
 
 def _check_keys(entry, allowed: set[str], where: str) -> None:
@@ -243,7 +245,7 @@ def _coerce_entry(entry: dict, where: str) -> dict:
     coerced = {}
     for key, value in entry.items():
         try:
-            coerced[key] = _coerce(key, value) if key in CONFIG_SCHEMA else value
+            coerced[key] = _coerce(key, value) if key in CONFIG_SCHEMA or key == "preset" else value
         except ValueError as exc:
             raise CliError(f"{where} {json.dumps(entry, sort_keys=True)}: "
                            f"bad value for {key!r}: {exc}") from None
@@ -505,6 +507,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path the command cannot open or create
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

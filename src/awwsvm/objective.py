@@ -13,8 +13,9 @@ functions are agnostic to that convention.
 run's ``TrainConfig``, and check nothing: they expect a non-empty float64
 batch and weights in [0, 1] without NaN. ``train()`` guarantees both through
 its sampler and its weights, made from distances it checks to be finite.
-``X`` is a CSR matrix, a 2-D ndarray, a ``data.RowBatch`` or (``loss`` only)
-the trainer's ``_ActiveRows``: each ``X @ w`` and ``X.T @ v`` is a new 1-D
+``loss`` takes the batch's scores ``X @ w``, so a caller that has them already
+does not compute them again. ``subgradient``'s ``X`` is a CSR matrix, a 2-D
+ndarray or a ``data.RowBatch``: each ``X @ w`` and ``X.T @ v`` is a new 1-D
 float64 array.
 """
 
@@ -30,14 +31,11 @@ class WeightMode(Enum):
     HINGE = "hinge"
 
 
-def _margins(w: np.ndarray, X, y: np.ndarray) -> np.ndarray:
-    return y * (X @ w)
-
-
-def loss(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg) -> float:
-    """Batch-mean weighted soft-margin objective value."""
+def loss(w: np.ndarray, scores: np.ndarray, y: np.ndarray, alpha: np.ndarray, cfg) -> float:
+    """Batch-mean weighted soft-margin objective value at ``w``, whose scores
+    ``X @ w`` on the batch are ``scores``."""
     k = len(y)
-    hinge = np.maximum(0.0, 1.0 - _margins(w, X, y))
+    hinge = np.maximum(0.0, 1.0 - y * scores)
     sq = float(w @ w)
     if cfg.weight_mode is WeightMode.REGULARIZER:
         return float(np.add.reduce(alpha) / k * cfg.C / 2.0 * sq + np.add.reduce(hinge) / k)
@@ -47,7 +45,7 @@ def loss(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg) -> float:
 def subgradient(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray, cfg) -> np.ndarray:
     """Batch-mean subgradient; at a margin of exactly 1 the hinge contributes 0."""
     k = len(y)
-    viol = _margins(w, X, y) < 1.0
+    viol = y * (X @ w) < 1.0
     if cfg.weight_mode is WeightMode.REGULARIZER:
         coef = y
         reg = np.add.reduce(alpha) / k * cfg.C * w

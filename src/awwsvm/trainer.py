@@ -4,9 +4,10 @@ experiment sweep and its CSV schema.
 
 A run starts from w = 0 with uniform weights 2/l and loops ``outer_iters``
 times: (a) ``inner_iters`` optimizer steps over minibatches of the active
-samples with the current weights, (b) signed distances of all active samples,
-(c) when adaptive, wrong-side noise elimination (permanent for the run), and
-(d) when adaptive, a weight refresh from the distances. Optimizer state
+samples with the current weights, (b) one score per training sample, giving
+the round's objective and, when adaptive, the signed distances, (c) when
+adaptive, wrong-side noise elimination (permanent for the run), and (d) when
+adaptive, a weight refresh from the distances. Optimizer state
 (step counter, velocity, inverse-Hessian approximation) persists across outer
 iterations. With ``adaptive=False`` the weights never move and the run is
 bit-for-bit the bare optimizer under the same seed.
@@ -111,22 +112,6 @@ class TrainConfig:
         return self.alpha0 / math.sqrt(k)
 
 
-class _ActiveRows:
-    """Rows ``keep`` of a CSR matrix as ``loss`` reads them, without copying
-    them: ``@ w`` takes one product over all rows and keeps its ``keep``
-    entries. Each row sum is scipy's ``csr_matvec`` either way, so the result
-    equals ``X[keep] @ w`` bit for bit."""
-
-    __slots__ = ("X", "keep", "shape")
-
-    def __init__(self, X, keep: np.ndarray):
-        self.X, self.keep = X, keep
-        self.shape = (int(np.count_nonzero(keep)), X.shape[1])
-
-    def __matmul__(self, w: np.ndarray) -> np.ndarray:
-        return (self.X @ w)[self.keep]
-
-
 RESULTS_COLUMNS = ["dataset", "method", "seed", "outer_iter", "accuracy", "precision",
                    "recall", "specificity", "f1", "gmean", "train_loss", "n_noise"]
 METRIC_COLUMNS = ["accuracy", "precision", "recall", "specificity", "f1", "gmean"]
@@ -180,12 +165,13 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                 raise TrainingError(f"weights diverged to a non-finite value in outer round {outer}")
 
             model = LinearModel.from_augmented(w, label_map=train_ds.label_map)
+            scores = decision_values(model, train_ds.X)  # X @ w, bit for bit
             if cfg.adaptive:
                 geo_norm = math.sqrt(model.w.dot(model.w))  # inf once ||w||^2 overflows
                 if not math.isfinite(geo_norm):
                     raise TrainingError(f"squared weight norm overflowed in outer round {outer}")
                 if geo_norm > 0.0:
-                    dist = decision_values(model, train_ds.X) / geo_norm
+                    dist = scores / geo_norm
                     if not np.isfinite(dist).all():
                         raise TrainingError(f"hyperplane distances overflowed in outer round {outer}")
                     flagged = detect_noise(dist, y, active, cfg.noise_mode, X=train_ds.X)
@@ -201,7 +187,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                 # current weights and mask for this round
 
             a_act = alpha[active]
-            train_loss = loss(w, _ActiveRows(X, active), y[active], a_act, cfg)
+            train_loss = loss(w, scores[active], y[active], a_act, cfg)
             if not np.isfinite(train_loss):
                 raise TrainingError(
                     f"objective value {train_loss} is not finite in outer round {outer}")

@@ -161,7 +161,8 @@ def test_criterion_05_gradient_matches_finite_differences():
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fd[j] = (loss(w + e, X, y, alpha, cfg) - loss(w - e, X, y, alpha, cfg)) / (2 * h)
+            fd[j] = (loss(w + e, X @ (w + e), y, alpha, cfg)
+                     - loss(w - e, X @ (w - e), y, alpha, cfg)) / (2 * h)
         err = np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-12)
         worst = max(worst, err)
     ok = worst < 1e-6

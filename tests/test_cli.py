@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -18,6 +19,10 @@ BAD_ENUM_VALUES = [
     ("weight_mode", "unknown weight mode 'zz' (choose from ['regularizer', 'hinge'])"),
     ("noise_mode", "unknown noise mode 'zz' (choose from ['signed', 'rawdot'])"),
 ]
+
+
+# what a path the command cannot open as a file, or create as a directory, reports
+IS_A_DIRECTORY, FILE_EXISTS = os.strerror(errno.EISDIR), os.strerror(errno.EEXIST)
 
 
 @pytest.fixture()
@@ -66,6 +71,11 @@ class TestSynthCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    def test_directory_out_is_usage_error(self, tmp_path, capsys):
+        rc = main(["synth", "--n-pos", "10", "--n-neg", "10", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: {IS_A_DIRECTORY}\n"
 
     def test_same_seed_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.libsvm", tmp_path / "b.libsvm"
@@ -127,6 +137,24 @@ class TestTrainCommand:
         assert trace[0] == "outer_iter,alpha_min,alpha_mean,alpha_max,n_noise"
         assert len(trace) == 3
         assert "tp/(tp+fp)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--data", "--config"])
+    def test_directory_input_is_usage_error(self, synth_file, tmp_path, capsys, flag):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(synth_file), flag, str(adir), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {adir}: {IS_A_DIRECTORY}\n"
+        assert not out.exists()
+
+    def test_file_as_out_is_usage_error(self, synth_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        rc = main(["train", "--data", str(synth_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {out}: {FILE_EXISTS}\n"
+        assert out.read_text() == "kept\n"
 
     def test_missing_file_exit_2_names_path(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "absent.libsvm")])
@@ -449,6 +477,13 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(tmp_path / "none.json")])
         assert rc == 2
 
+    def test_directory_manifest_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: {IS_A_DIRECTORY}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, two_files, tmp_path, capsys, jobs):
         manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}],
@@ -708,6 +743,33 @@ class TestExperimentCommand:
         assert [r.split(",")[3] for r in rows] == [str(i) for i in range(1, 11)] + ["final"]
 
 
+    # on: the bytes of "preset": true; off: those of a method without a preset
+    @pytest.mark.parametrize("preset, on", [("false", False), ("no", False), (0, False),
+                                            ("true", True), ("yes", True), (1, True)])
+    def test_preset_is_parsed_as_a_boolean(self, two_files, tmp_path, preset, on):
+        blobs = []
+        for i, extra in enumerate(({"preset": True} if on else {}, {"preset": preset})):
+            manifest = _write_manifest(tmp_path, [{"name": "w1a", "path": str(two_files[0])}],
+                                       [{"optimizer": "sgd", **extra}], seeds=[0])
+            out = tmp_path / f"e{i}"
+            assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 0
+            blobs.append((out / "results.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("preset", ["maybe", None])
+    def test_bad_preset_is_usage_error(self, two_files, tmp_path, capsys, preset):
+        method = {"optimizer": "sgd", "preset": preset}
+        manifest = _write_manifest(tmp_path, [{"name": "w1a", "path": str(two_files[0])}],
+                                   [method], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        text = preset if isinstance(preset, str) else json.dumps(preset)
+        assert capsys.readouterr().err == (
+            f"error: methods[0] {json.dumps(method, sort_keys=True)}: bad value for 'preset': "
+            f"not a boolean: {text!r}\n")
+        assert not out.exists()
+
 class TestStatsCommand:
     @pytest.fixture()
     def results_csv(self, tmp_path):
@@ -734,6 +796,13 @@ class TestStatsCommand:
         assert (out / "significance.csv").exists()
         ranks_csv = (out / "mean_ranks.csv").read_text().splitlines()
         assert ranks_csv[0] == "method,mean_rank,cd"
+
+    def test_directory_results_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "stats"
+        rc = main(["stats", "--results", str(tmp_path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: {IS_A_DIRECTORY}\n"
+        assert not out.exists()
 
     def test_output_bytes_pinned(self, results_csv, tmp_path, capsys):
         out = tmp_path / "stats"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from scipy import sparse
 
 from awwsvm.data import RowBatch
 from awwsvm.objective import WeightMode, loss, subgradient
-from awwsvm.trainer import TrainConfig, _ActiveRows
+from awwsvm.trainer import TrainConfig
 
 REG = TrainConfig(C=1.0, weight_mode=WeightMode.REGULARIZER)
 HIN = TrainConfig(C=1.0, weight_mode=WeightMode.HINGE)
@@ -16,7 +18,8 @@ def finite_difference(w, X, y, alpha, cfg, h=1e-5):
     for j in range(len(w)):
         e = np.zeros_like(w)
         e[j] = h
-        g[j] = (loss(w + e, X, y, alpha, cfg) - loss(w - e, X, y, alpha, cfg)) / (2 * h)
+        g[j] = (loss(w + e, X @ (w + e), y, alpha, cfg)
+                - loss(w - e, X @ (w - e), y, alpha, cfg)) / (2 * h)
     return g
 
 
@@ -38,30 +41,44 @@ class TestLoss:
         X = np.array([[1.0, 2.0], [3.0, -1.0]])
         y = np.array([1.0, -1.0])
         alpha = np.array([0.3, 0.9])
-        assert loss(np.zeros(2), X, y, alpha, REG) == pytest.approx(1.0)
-        assert loss(np.zeros(2), X, y, alpha, HIN) == pytest.approx(alpha.mean())
-        assert loss(np.zeros(2), X, y, np.ones(2), HIN) == pytest.approx(1.0)
+        w = np.zeros(2)
+        assert loss(w, X @ w, y, alpha, REG) == pytest.approx(1.0)
+        assert loss(w, X @ w, y, alpha, HIN) == pytest.approx(alpha.mean())
+        assert loss(w, X @ w, y, np.ones(2), HIN) == pytest.approx(1.0)
 
     def test_hand_value_regularizer(self):
         X = np.array([[2.0, 0.0]])
         y = np.array([1.0])
         alpha = np.array([1.0])
         w = np.array([1.0, 0.0])
-        assert loss(w, X, y, alpha, REG) == pytest.approx(0.5)
+        assert loss(w, X @ w, y, alpha, REG) == pytest.approx(0.5)
 
     def test_modes_agree_at_unit_weights(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             w, X, y, _ = random_fixture(rng)
             alpha = np.ones(len(y))
-            assert loss(w, X, y, alpha, REG) == pytest.approx(loss(w, X, y, alpha, HIN))
+            assert loss(w, X @ w, y, alpha, REG) == pytest.approx(loss(w, X @ w, y, alpha, HIN))
+
+    def test_modes_agree_bitwise_at_unit_weights(self):
+        # sum(ones) / k is exactly 1.0, and 1.0 * C == C
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            w, X, y, _ = random_fixture(rng, n=int(rng.integers(1, 70)))
+            alpha = np.ones(len(y))
+            C = float(rng.uniform(1e-3, 1e3))
+            reg, hin = replace(REG, C=C), replace(HIN, C=C)
+            assert np.float64(loss(w, X @ w, y, alpha, reg)).tobytes() == \
+                np.float64(loss(w, X @ w, y, alpha, hin)).tobytes()
+            assert subgradient(w, X, y, alpha, reg).tobytes() == \
+                subgradient(w, X, y, alpha, hin).tobytes()
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             w, X, y, alpha = random_fixture(rng)
             for cfg in (REG, HIN):
-                assert loss(w, X, y, alpha, cfg) >= 0.0
+                assert loss(w, X @ w, y, alpha, cfg) >= 0.0
 
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -116,12 +133,8 @@ def _kind(name, X, rng):
         return X, X
     if name == "dense":
         return X.toarray(), X
-    if name == "row_batch":
-        idx = rng.integers(0, X.shape[0], size=int(rng.integers(1, 2 * X.shape[0] + 1)))
-        return RowBatch.gather(X, idx), X[idx]
-    keep = rng.random(X.shape[0]) < 0.6
-    keep[rng.integers(X.shape[0])] = True
-    return _ActiveRows(X, keep), X[keep]
+    idx = rng.integers(0, X.shape[0], size=int(rng.integers(1, 2 * X.shape[0] + 1)))
+    return RowBatch.gather(X, idx), X[idx]
 
 
 class TestInputContract:
@@ -129,10 +142,10 @@ class TestInputContract:
     rows, and ``X @ w`` (and ``X.T @ v``) is a fresh 1-D float64 array. The
     features are small integers and w and the weights lie on a 1/16 grid, so
     every sum is exact and the dense BLAS product, which adds in another
-    order, must match too. ``_ActiveRows`` serves ``loss`` only."""
+    order, must match too."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(["csr", "dense", "row_batch", "active_rows"]),
+    @given(st.sampled_from(["csr", "dense", "row_batch"]),
            st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32 - 1),
            st.sampled_from(list(WeightMode)), st.sampled_from([0.5, 1.0, 3.0]))
     def test_kind_matches_csr_bytes(self, kind, n, d, seed, mode, C):
@@ -145,14 +158,12 @@ class TestInputContract:
         alpha = rng.integers(0, 17, size=k) / 16
         w = rng.integers(-8, 9, size=d) / 16
         cfg = TrainConfig(C=C, weight_mode=mode)
-        products = [X @ w]
-        if kind != "active_rows":
-            products.append(X.T @ y)
-            got, want = subgradient(w, X, y, alpha, cfg), subgradient(w, ref, y, alpha, cfg)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        products = [X @ w, X.T @ y]
+        got, want = subgradient(w, X, y, alpha, cfg), subgradient(w, ref, y, alpha, cfg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for out in products:
             assert type(out) is np.ndarray and out.ndim == 1 and out.dtype == np.float64
             assert out.base is None  # subgradient divides X.T @ v in place
         assert products[0].tobytes() == (ref @ w).tobytes()
-        assert np.float64(loss(w, X, y, alpha, cfg)).tobytes() == \
-            np.float64(loss(w, ref, y, alpha, cfg)).tobytes()
+        assert np.float64(loss(w, products[0], y, alpha, cfg)).tobytes() == \
+            np.float64(loss(w, ref @ w, y, alpha, cfg)).tobytes()

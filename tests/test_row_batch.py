@@ -1,7 +1,8 @@
 """The minibatch row kernel against scipy: ``RowBatch.gather(X, idx)`` must
-give the products of ``X[idx]`` bit for bit, as must the trainer's
-``_ActiveRows(X, keep)`` those of ``X[keep]``, and a training run must build
-no scipy matrix per optimizer step."""
+give the products of ``X[idx]`` bit for bit, the scores of a set's
+non-augmented rows plus the bias must equal its augmented product bit for bit
+(``train`` takes each round's objective from them), and a training run must
+build no scipy matrix per optimizer step."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import _compressed
 
-from awwsvm.data import RowBatch, synth_two_gaussians
+from awwsvm.data import Dataset, RowBatch, synth_two_gaussians
+from awwsvm.model import LinearModel, decision_values
 from awwsvm.objective import WeightMode, loss, subgradient
-from awwsvm.trainer import Optimizer, TrainConfig, _ActiveRows, train
+from awwsvm.trainer import Optimizer, TrainConfig, train
 
 
 def assert_bitwise(got, want):
@@ -78,17 +80,7 @@ class TestRowBatchProducts:
         w = spread_values(rng, X.shape[1]) * 1e-6
         cfg = TrainConfig(C=C, weight_mode=mode)
         assert_bitwise(subgradient(w, batch, y, alpha, cfg), subgradient(w, want, y, alpha, cfg))
-        assert loss(w, batch, y, alpha, cfg) == loss(w, want, y, alpha, cfg)
-
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(csr_batches(), st.floats(0.0, 1.0))
-    def test_active_rows_product_equals_scipy_bitwise(self, case, keep_frac):
-        X, _, rng = case
-        keep = rng.random(X.shape[0]) < keep_frac
-        rows, want = _ActiveRows(X, keep), X[keep]
-        assert rows.shape == want.shape
-        w = spread_values(rng, X.shape[1])
-        assert_bitwise(rows @ w, want @ w)
+        assert loss(w, batch @ w, y, alpha, cfg) == loss(w, want @ w, y, alpha, cfg)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_long_rows_of_a_2k_wide_set(self, index_dtype):
@@ -112,6 +104,24 @@ class TestRowBatchProducts:
         assert batch.cols.tolist() == [0, 1, 0, 2, 0, 1]
         assert batch.vals.tolist() == [3.0, 4.0, 1.0, 2.0, 3.0, 4.0]
         assert batch.shape == (4, 3) and batch.T.shape == (3, 4)
+
+
+# values over ~280 decades; no sum of 161 terms overflows
+WIDE = 10.0 ** np.arange(-140, 141)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csr_batches(), st.sampled_from([-0.0, 0.0, None]))
+def test_augmented_product_equals_decision_values_bitwise(case, bias):
+    X, _, rng = case
+    X.data *= rng.choice(WIDE, size=X.nnz)
+    ds = Dataset(X, np.ones(X.shape[0]))
+    assert ds.X.indices.dtype == X.indices.dtype
+    w = spread_values(rng, X.shape[1] + 1) * rng.choice(WIDE, size=X.shape[1] + 1)
+    if bias is not None:
+        w[-1] = bias
+    assert_bitwise(decision_values(LinearModel.from_augmented(w), ds.X),
+                   ds.to_matrix(augment=True) @ w)
 
 
 @pytest.mark.parametrize("optimizer", list(Optimizer))

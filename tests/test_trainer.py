@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from awwsvm import trainer
-from awwsvm.data import Dataset, MinibatchSampler, Sample, synth_two_gaussians
+from awwsvm.data import Dataset, MinibatchSampler, Sample, split, synth_two_gaussians
+from awwsvm.model import decision_values
 from awwsvm.objective import WeightMode
 from awwsvm.optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
 from awwsvm.cli import WEIGHTS_COLUMNS
 from awwsvm.trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, TrainConfig,
                             TrainingError, run_experiment, summary, to_csv, train)
-from awwsvm.weighting import detect_noise, init_weights
+from awwsvm.weighting import NoiseMode, detect_noise, init_weights
 
 
 def small_config(optimizer=Optimizer.SGD, **kw):
@@ -194,23 +195,51 @@ class TestTrainLoop:
             train(train_ds, eval_ds, small_config(alpha0=1e200))
 
     def test_train_loss_reads_the_active_rows_bitwise(self, monkeypatch):
-        # the loss of the active rows, taken from one product over all rows,
-        # equals the loss on a copy of those rows
-        real, sizes = trainer.loss, []
-
-        def spy(w, X, y, alpha, cfg):
-            got = real(w, X, y, alpha, cfg)
-            want = real(w, X.X[X.keep], y, alpha, cfg)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
-            sizes.append(X.shape[0])
-            return got
-
-        monkeypatch.setattr(trainer, "loss", spy)
+        # the scores the loss receives, cut from one product over all rows,
+        # equal a product over a copy of the active rows
         train_ds = synth_two_gaussians(10, 10, 4.0, 0.05, seed=100)
         eval_ds = synth_two_gaussians(20, 20, 4.0, 0.0, seed=101)
+        X = train_ds.to_matrix(augment=True)
+        real_loss, real_detect, masks, sizes = trainer.loss, trainer.detect_noise, [], []
+
+        def detect(dist, y, active, *args, **kw):
+            masks.append(active)  # updated in place before the round's loss
+            return real_detect(dist, y, active, *args, **kw)
+
+        def spy(w, scores, y, alpha, cfg):
+            want = X[masks[-1]] @ w
+            assert scores.dtype == want.dtype and scores.tobytes() == want.tobytes()
+            sizes.append(len(scores))
+            return real_loss(w, scores, y, alpha, cfg)
+
+        monkeypatch.setattr(trainer, "detect_noise", detect)
+        monkeypatch.setattr(trainer, "loss", spy)
         _, rounds = train(train_ds, eval_ds, TrainConfig(adaptive=True, seed=0))
         assert sizes == [len(train_ds) - r["n_noise"] for r in rounds]
         assert sizes[-1] < len(train_ds)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["bare", "adaptive"])
+    def test_one_score_vector_per_round(self, synth_pair, monkeypatch, adaptive):
+        # every round scores the training rows once; the loss takes its
+        # active entries as a fresh 1-D float64 array
+        real_scores, real_loss, calls, received = trainer.decision_values, trainer.loss, [], []
+
+        def scores(m, X):
+            calls.append(X.shape)
+            return real_scores(m, X)
+
+        def spy(w, scores, y, alpha, cfg):
+            received.append((type(scores), scores.ndim, scores.dtype, len(scores), len(y)))
+            return real_loss(w, scores, y, alpha, cfg)
+
+        monkeypatch.setattr(trainer, "decision_values", scores)
+        monkeypatch.setattr(trainer, "loss", spy)
+        train_ds, eval_ds = synth_pair
+        cfg = small_config(adaptive=adaptive)
+        _, rounds = train(train_ds, eval_ds, cfg)
+        assert calls == [train_ds.X.shape] * cfg.outer_iters
+        assert received == [(np.ndarray, 1, np.float64, len(train_ds) - r["n_noise"],
+                             len(train_ds) - r["n_noise"]) for r in rounds]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_objective_overflow_raises_naming_round(self):
@@ -295,6 +324,48 @@ class TestTrainLoop:
         m2, r2 = train(train_ds, eval_ds, cfg)
         np.testing.assert_array_equal(m1.augmented(), m2.augmented())
         assert [r["accuracy"] for r in r1] == [r["accuracy"] for r in r2]
+
+
+class TestLabelSwapSymmetry:
+    """Swapping the labels (y -> -y, label map negated) is an exact symmetry
+    of ``train``: the model comes out negated bit for bit, and each round's
+    recall and specificity trade places. The pair is swapped after ``split``,
+    which is not label-symmetric itself."""
+
+    @staticmethod
+    def _swapped(ds: Dataset) -> Dataset:
+        return Dataset(ds.X, -ds.y, {k: -v for k, v in ds.label_map.items()})
+
+    @staticmethod
+    def _pair(seed: int) -> tuple[Dataset, Dataset]:
+        """Seeds 1-3: a 60/140 set with 5% flips, split; seed 0: a 10/10 set
+        on which every configuration flags a sample as noise."""
+        if seed == 0:
+            return (synth_two_gaussians(10, 10, 4.0, 0.05, seed=100),
+                    synth_two_gaussians(20, 20, 4.0, 0.0, seed=101))
+        return split(synth_two_gaussians(60, 140, 2.0, 0.05, seed=seed), 0.2, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("noise_mode", list(NoiseMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", list(WeightMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("opt", list(Optimizer), ids=lambda o: o.value)
+    def test_swapped_labels_negate_the_model(self, opt, mode, noise_mode, seed):
+        tr, ev = self._pair(seed)
+        cfg = TrainConfig(optimizer=opt, adaptive=True, weight_mode=mode,
+                          noise_mode=noise_mode, seed=seed)
+        model, rounds = train(tr, ev, cfg)
+        assert seed != 0 or rounds[-1]["n_noise"] > 0
+        swapped, swapped_rounds = train(self._swapped(tr), self._swapped(ev), cfg)
+
+        assert swapped.augmented().tobytes() == (-model.augmented()).tobytes()
+        # predict maps a score of exactly 0 to +1, the one asymmetry
+        assert np.all(decision_values(model, ev.X) != 0.0)
+        same = ["train_loss", "n_noise", "accuracy", "gmean",
+                "alpha_min", "alpha_mean", "alpha_max"]
+        assert [{c: r[c] for c in same} for r in swapped_rounds] == \
+            [{c: r[c] for c in same} for r in rounds]
+        assert [(r["recall"], r["specificity"]) for r in swapped_rounds] == \
+            [(r["specificity"], r["recall"]) for r in rounds]
 
 
 def _sweep(datasets, methods, seeds):
