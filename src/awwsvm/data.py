@@ -6,13 +6,12 @@ The on-disk format is the LIBSVM/SVMlight one: each nonempty line is
 indices. ``#`` starts a comment running to end of line; blank lines are
 ignored. Source labels may be {-1,+1}, {0,1} or {1,2}; the numerically larger
 of the two observed labels is mapped to +1 and the mapping is recorded on the
-dataset. Files are UTF-8 text, read and parsed a block of lines at a time.
+dataset. Files are UTF-8 text, read and parsed a piece of text at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import itertools
 import math
 import re
 from typing import Iterable, Iterator
@@ -48,7 +47,8 @@ class Dataset:
     """Labeled samples as one CSR matrix and a label vector.
 
     ``X`` is n x dim with ascending column indices in each row; column j holds
-    feature index j+1, and explicit zero values are kept. ``y`` holds the
+    feature index j+1, and explicit zero values are kept; every value is
+    finite, as ``parse_libsvm`` requires of the text. ``y`` holds the
     labels in {-1,+1}. ``dim`` is at least the largest feature index; splits
     inherit the parent dimension so train/test matrices stay aligned.
     ``label_map`` records how source labels were mapped onto {-1,+1}.
@@ -67,6 +67,12 @@ class Dataset:
             raise ValueError("labels must be -1 or +1")
         if not self.X.has_canonical_format:
             raise ValueError("column indices must be strictly ascending within each row")
+        finite = np.isfinite(self.X.data)
+        if not finite.all():
+            k = int(finite.argmin())
+            row = int(np.searchsorted(self.X.indptr, k, side="right")) - 1
+            raise ValueError(f"X[{row}, {self.X.indices[k]}] is {self.X.data[k]}: "
+                             "feature values must be finite")
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -132,10 +138,12 @@ class Dataset:
                                  shape=(len(self), dim + 1 if augment else dim))
 
 
-# lines parsed per block, and rows formatted per written chunk
-_BLOCK_LINES = 4096
-# rows of a block whose feature tokens are split at once
-_SPLIT_ROWS = 256
+# characters of LIBSVM text parsed as one block, cut after the next newline
+_PIECE = 1 << 18
+# idx:val entries, counting each label as one, formatted per written chunk
+_WRITE_ENTRIES = 1 << 12
+# a universal newline: the break after which a piece of text is cut
+_NEWLINE = re.compile(r"\r\n?|\n")
 _INT64_MAX = np.iinfo(np.int64).max
 # one idx:val feature token, as a line of numpy's C text reader
 _FEATURE = np.dtype([("i", np.int64), ("v", np.float64)])
@@ -168,35 +176,51 @@ def parse_libsvm(text: str) -> Dataset:
     which stands for a byte that is not UTF-8 in text decoded with
     ``errors="surrogateescape"``. An input with no samples is an error.
 
-    Lines are parsed a block at a time. Labels go through ``float()``; the
-    feature tokens go through numpy's C text reader (``np.loadtxt``), one
-    token per line. Its int64 field takes ASCII digits with an optional sign
-    and refuses anything else; its float64 field is converted by
-    ``PyOS_string_to_double``, as in ``float()``. So every token it accepts
-    gets the value ``int()``/``float()`` give. A block holding non-ASCII
+    The text is parsed a block at a time, each block a piece of ``_PIECE``
+    characters and the rest of its last line (``_cut_text``). Labels go
+    through ``float()``; the feature tokens go through numpy's C text reader
+    (``np.loadtxt``), one token per line. Its int64 field takes ASCII digits
+    with an optional sign and refuses anything else; its float64 field is
+    converted by ``PyOS_string_to_double``, as in ``float()``. So every token
+    it accepts gets the value ``int()``/``float()`` give. A block holding non-ASCII
     text, or one whose tokens the reader refuses or that fails a check, is
     parsed again by ``_parse_lines`` with ``int()`` and ``float()``: it
     accepts what those accept (``1_0``, non-ASCII digits) and otherwise names
     the first offending line.
     """
-    return _parse_stream(text.splitlines())
+    return _parse_pieces(_cut_text(text))
 
 
-def _parse_stream(lines: Iterable[str]) -> Dataset:
-    """The Dataset of ``lines``, read and parsed ``_BLOCK_LINES`` at a time."""
-    lines = iter(lines)
+def _cut_text(text: str) -> Iterator[str]:
+    """``text`` in pieces of ``_PIECE`` characters and the rest of the last
+    line, each cut after a universal newline or at the end, as
+    ``_text_chunks`` cuts a file; their lines are those of ``text``."""
+    start = 0
+    while start < len(text):
+        brk = _NEWLINE.search(text, start + _PIECE)
+        stop = brk.end() if brk else len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _parse_pieces(pieces: Iterable[str]) -> Dataset:
+    """The Dataset of the text in ``pieces``, each parsed as one block; no
+    line runs across two pieces."""
     observed: set[int] = set()
     blocks = []
     start = 1
-    while chunk := list(itertools.islice(lines, _BLOCK_LINES)):
-        block = _parse_block(chunk, observed) or _parse_lines(chunk, start, observed)
+    for piece in pieces:
+        lines = piece.splitlines()
+        block = _parse_block(lines, observed) or _parse_lines(lines, start, observed)
         observed.update(block[0].tolist())
         blocks.append(block)
-        start += len(chunk)
+        start += len(lines)
     if not observed:
         raise ParseError("empty dataset: no samples found")
-    labels, counts, cols, vals = (np.concatenate(parts) for parts in zip(*blocks))
-    blocks.clear()  # the per-block arrays go before the matrix is built
+    # one field at a time, each dropping its per-block arrays once joined
+    fields = [list(parts) for parts in zip(*blocks)]
+    blocks.clear()
+    labels, counts, cols, vals = (np.concatenate(fields.pop(0)) for _ in range(4))
 
     label_map = _label_mapping(observed)
     y = np.empty_like(labels)
@@ -229,12 +253,9 @@ def _parse_block(lines: list[str], observed: set[int]):
     try:
         labels = np.fromiter(map(float, label_toks), np.float64, len(label_toks))
         # the reader takes each idx:val token as a line. Within ASCII lines,
-        # str.split() breaks at ' ', '\t' and '\x1f', as _parse_lines does;
-        # tokens are made _SPLIT_ROWS rows at a time, not for the whole block
-        tokens = itertools.chain.from_iterable(" ".join(rests[i:i + _SPLIT_ROWS]).split()
-                                               for i in range(0, len(rests), _SPLIT_ROWS))
-        feats = (np.loadtxt(tokens, dtype=_FEATURE, delimiter=":", comments=None, quotechar=None,
-                            ndmin=1)
+        # str.split() breaks at ' ', '\t' and '\x1f', as _parse_lines does
+        feats = (np.loadtxt(" ".join(rests).split(), dtype=_FEATURE, delimiter=":",
+                            comments=None, quotechar=None, ndmin=1)
                  if any(rests) else np.empty(0, dtype=_FEATURE))  # no data warns
     except ValueError:
         return None
@@ -250,7 +271,8 @@ def _parse_block(lines: list[str], observed: set[int]):
     labels = labels.astype(np.int64)
     if len(observed.union(np.unique(labels).tolist())) > 2:
         return None
-    return labels, counts_arr, idx - 1, vals
+    # a copy, so the block keeps no view into the reader's (idx, val) records
+    return labels, counts_arr, idx - 1, vals.copy()
 
 
 def _parse_lines(lines: list[str], first_lineno: int, observed: set[int]):
@@ -310,12 +332,18 @@ def _label_mapping(observed: set[int]) -> dict[int, int]:
 
 
 def _libsvm_chunks(ds: Dataset) -> Iterator[str]:
-    """LIBSVM text for ``ds`` in chunks of whole lines, labels as +1/-1."""
+    """LIBSVM text for ``ds`` in chunks of whole lines, labels as +1/-1; a
+    chunk holds at most ``_WRITE_ENTRIES`` labels and idx:val entries, or one
+    row."""
     if not len(ds):
         yield "\n"  # the text of an empty dataset is one newline
     X = ds.X
-    for start in range(0, len(ds), _BLOCK_LINES):
-        stop = min(start + _BLOCK_LINES, len(ds))
+    # the entries before each row, its label counted as one
+    ends = X.indptr + np.arange(len(ds) + 1)
+    start = 0
+    while start < len(ds):
+        stop = max(int(np.searchsorted(ends, ends[start] + _WRITE_ENTRIES, "right")) - 1,
+                   start + 1)
         a, b = X.indptr[start], X.indptr[stop]
         ptr = (X.indptr[start:stop + 1] - a).tolist()
         idx = (X.indices[a:b].astype(np.int64) + 1).tolist()
@@ -326,6 +354,7 @@ def _libsvm_chunks(ds: Dataset) -> Iterator[str]:
             lines.append(" ".join(["+1" if lab == 1 else "-1",
                                    *(f"{j}:{v!r}" for j, v in zip(idx[lo:hi], val[lo:hi]))]))
         yield "\n".join(lines) + "\n"
+        start = stop
 
 
 def to_libsvm(ds: Dataset) -> str:
@@ -334,17 +363,18 @@ def to_libsvm(ds: Dataset) -> str:
 
 
 def load_libsvm(path: str) -> Dataset:
-    """``parse_libsvm`` of the file's UTF-8 text, read a block of lines at a
-    time; a byte that is not UTF-8 is a ParseError naming its line."""
+    """``parse_libsvm`` of the file's UTF-8 text, read and parsed a piece at
+    a time; a byte that is not UTF-8 is a ParseError naming its line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return _parse_stream(itertools.chain.from_iterable(map(str.splitlines, _text_chunks(fh))))
+        return _parse_pieces(_text_chunks(fh))
 
 
 def _text_chunks(fh) -> Iterator[str]:
-    """The text of ``fh`` in ~1 MiB pieces, each cut after a universal newline
-    or at the end, so their lines are those of ``fh.read().splitlines()``."""
-    while chunk := fh.read(1 << 20):
-        yield chunk + fh.readline()
+    """The text of ``fh`` in pieces of ``_PIECE`` characters and the rest of
+    the last line, each cut after a universal newline or at the end, so
+    their lines are those of ``fh.read().splitlines()``."""
+    while piece := fh.read(_PIECE):
+        yield piece + fh.readline()
 
 
 def save_libsvm(ds: Dataset, path: str) -> None:

@@ -6,6 +6,7 @@ them inline). Criteria 8-10 need the real benchmark files under ``data/``
 machine to obtain them, otherwise those tests skip with a message.
 """
 
+import functools
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -48,7 +49,22 @@ PUBLISHED_MEAN_RANKS = np.array([4.04, 1.83, 4.46, 1.83, 5.42, 2.13])
 
 
 def _line(num, ok, detail):
-    print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
+    print(f"ACCEPTANCE {num:>02} {'PASS' if ok else 'FAIL'}: {detail}")
+
+
+def _one_class(cm) -> bool:
+    """Whether the model behind confusion counts ``cm`` predicts one class."""
+    return cm.tp + cm.fp == 0 or cm.tn + cm.fn == 0
+
+
+def _tally(diffs, cms_a, cms_b) -> str:
+    """Wins, losses and ties of adaptive-minus-baseline score differences
+    ``diffs`` (positive favours adaptive), and how many of the adaptive and
+    baseline models, given by their confusion counts, predict one class."""
+    sign = np.sign(diffs)
+    return (f"{np.sum(sign > 0)} won, {np.sum(sign < 0)} lost, {np.sum(sign == 0)} tied; "
+            f"one-class: adaptive {sum(map(_one_class, cms_a))}/{len(cms_a)}, "
+            f"baseline {sum(map(_one_class, cms_b))}/{len(cms_b)}")
 
 
 def _data_dir():
@@ -312,7 +328,7 @@ def test_criterion_11_outlier_robustness_ordering():
                        C=1e-3, weight_mode=WeightMode.HINGE)
     eval_ds = synth_two_gaussians(400, 400, 4.0, 0.0, seed=999)
     wins = 0
-    pairs = []
+    pairs, diffs, cms_a, cms_b = [], [], [], []
     for seed in SEEDS:
         clean = synth_two_gaussians(10, 10, 4.0, 0.0, seed=seed + 100)
         noisy = synth_two_gaussians(10, 10, 4.0, 0.05, seed=seed + 100)
@@ -325,30 +341,69 @@ def test_criterion_11_outlier_robustness_ordering():
         ang_a = _angle(m_a.w, ref_a.w)
         ang_b = _angle(m_b.w, ref_b.w)
         wins += ang_a < ang_b
+        diffs.append(ang_b - ang_a)
+        cms_a.append(confusion(m_a, eval_ds))
+        cms_b.append(confusion(m_b, eval_ds))
         pairs.append(f"{ang_a:.1f}<{ang_b:.1f}" if ang_a < ang_b else f"{ang_a:.1f}>={ang_b:.1f}")
     ok = wins >= 4
     _line(11, ok, f"flip-noise tilt (degrees, adaptive vs baseline): "
-                  f"{', '.join(pairs)} -> {wins}/5 wins (need >= 4)")
+                  f"{', '.join(pairs)} -> {wins}/5 wins (need >= 4); "
+                  f"{_tally(diffs, cms_a, cms_b)}")
     assert ok
 
 
-def test_criterion_12_gmean_ordering_across_imbalance_ratios():
+@functools.cache
+def _imbalance_runs():
+    """Criterion 12's runs: per imbalance ratio, the (adaptive, baseline)
+    confusion counts on the eval set for each seed. Both forms of the
+    criterion read them, so the models are trained once."""
     base = TrainConfig(optimizer=Optimizer.OBFGS, adaptive=False, outer_iters=15,
                        inner_iters=10, batch_size=128, alpha0=1.0,
                        **EXPERIMENT_OBJECTIVE)
     eval_ds = synth_two_gaussians(3000, 3000, 1.0, 0.0, seed=987)
-    ok = True
-    details = []
+    runs = {}
     for ir in (2, 5, 10):
-        wins = 0
+        runs[ir] = []
         for seed in SEEDS:
             tr = synth_two_gaussians(300, 300 * ir, 1.0, 0.0, seed=seed + 200)
             m_b, _ = train(tr, eval_ds, replace(base, seed=seed))
             m_a, _ = train(tr, eval_ds, replace(base, adaptive=True, seed=seed))
-            g_a = report(confusion(m_a, eval_ds)).gmean
-            g_b = report(confusion(m_b, eval_ds)).gmean
-            wins += g_a >= g_b
-        details.append(f"IR{ir}: {wins}/5")
+            runs[ir].append((confusion(m_a, eval_ds), confusion(m_b, eval_ds)))
+    return runs
+
+
+def _gmean_ordering(strict: bool) -> tuple[bool, list[str]]:
+    """Whether adaptive wins in >= 4 of 5 seeds at every imbalance ratio, and
+    one detail per ratio. A G-mean tie is a win, except under ``strict`` when
+    both models predict one class."""
+    ok = True
+    details = []
+    for ir, pairs in _imbalance_runs().items():
+        cms_a, cms_b = zip(*pairs)
+        g_a = np.array([report(cm).gmean for cm in cms_a])
+        g_b = np.array([report(cm).gmean for cm in cms_b])
+        won = g_a >= g_b
+        if strict:
+            both_one_class = np.array([_one_class(a) and _one_class(b) for a, b in pairs])
+            won &= ~((g_a == g_b) & both_one_class)
+        wins = int(won.sum())
+        details.append(f"IR{ir}: {wins}/5 ({_tally(g_a - g_b, cms_a, cms_b)})")
         ok &= wins >= 4
-    _line(12, ok, "adaptive G-mean >= baseline per imbalance ratio: " + ", ".join(details))
+    return ok, details
+
+
+def test_criterion_12_gmean_ordering_across_imbalance_ratios():
+    ok, details = _gmean_ordering(strict=False)
+    _line(12, ok, "adaptive G-mean >= baseline per imbalance ratio: " + "; ".join(details))
+    assert ok
+
+
+# Recorded as failing, not tuned: at IR 5 four seeds and at IR 10 all five are
+# G-mean ties between models that each predict one class.
+@pytest.mark.xfail(strict=True, reason="adaptive wins IR2 5/5, IR5 1/5 (4 one-class ties), "
+                                       "IR10 0/5 (5 one-class ties); 4/5 needed at each ratio")
+def test_criterion_12_strict_one_class_ties_are_no_wins():
+    ok, details = _gmean_ordering(strict=True)
+    _line("12-strict", ok, "adaptive G-mean >= baseline per imbalance ratio, a tie between "
+                           "one-class models no win: " + "; ".join(details))
     assert ok

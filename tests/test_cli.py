@@ -393,6 +393,37 @@ class TestTrainCommand:
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("# header\n\noptimizer onaq\n", "3: expected key = value, got 'optimizer onaq'"),
+        ("seed = x\n", "1: invalid literal for int() with base 10: 'x'"),
+    ], ids=["no-equals", "bad-value"])
+    def test_bad_config_line_is_usage_error_naming_it(self, synth_file, tmp_path, capsys,
+                                                      text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(synth_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert not out.exists()
+
+    def test_no_dataset_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no dataset given: use --data or a config file\n"
+        assert not out.exists()
+
+    def test_report_names_degenerate_ratios(self, synth_file, tmp_path, capsys):
+        # an eval set of positives only has no specificity: tn + fp = 0
+        pos = tmp_path / "pos.libsvm"
+        pos.write_text("+1 1:3.0 2:0.5\n+1 1:2.5\n")
+        rc = main(["train", "--data", str(synth_file), "--test-data", str(pos),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4] == "  specificity  0.0000"
+        assert lines[8] == "  degenerate 0/0 ratios reported as 0: ['specificity']"
+
     def test_non_utf8_config_file_exit_2_names_line(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"optimizer = onaq\r\n# \xff\r\nseed = 1\r\n")
@@ -472,6 +503,23 @@ class TestExperimentCommand:
             assert rc == 0
             blobs.append((out / "results.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_invalid_json_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{")
+        out = tmp_path / "exp"
+        assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: invalid JSON: Expecting property name enclosed in double "
+            "quotes: line 1 column 2 (char 1)\n")
+        assert not out.exists()
+
+    def test_entry_that_is_not_an_object_is_usage_error(self, two_files, tmp_path, capsys):
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], ["sgd"], seeds=[0])
+        out = tmp_path / "exp"
+        assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: methods[0]: expected a JSON object, got 'sgd'\n"
+        assert not out.exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         rc = main(["experiment", "--manifest", str(tmp_path / "none.json")])
@@ -721,6 +769,18 @@ class TestExperimentCommand:
         assert (out / "failures.txt").read_text() == (
             "flip,aw+obfgs,0,squared weight norm overflowed in outer round 1\n")
 
+    def test_console_table_marks_a_cell_without_rows(self, two_files, wide_file, tmp_path,
+                                                     capsys):
+        # obfgs fails on the wide set, so its cell there has no mean
+        manifest = _write_manifest(
+            tmp_path, [{"path": str(two_files[0])},
+                       {"path": str(wide_file), "test_path": str(wide_file)}],
+            [{"optimizer": "sgd"}, {"optimizer": "obfgs"}], seeds=[0])
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(tmp_path / "exp")])
+        assert rc == 1
+        table = capsys.readouterr().out.splitlines()
+        assert table[3] == f"{'wide':<6}{1.0:>11.4f}*  {'-':>12}"
+
     def test_oversized_inverse_hessian_recorded_in_failures(self, wide_file, tmp_path):
         manifest = _write_manifest(tmp_path, [{"path": str(wide_file), "test_path": str(wide_file)}],
                                    [{"optimizer": "sgd"}, {"optimizer": "obfgs"}], seeds=[0])
@@ -869,6 +929,21 @@ class TestStatsCommand:
         report = (out / "stats_report.txt").read_text()
         assert "chi2 = 0.0000" in report
         assert "none" in report
+
+    def test_no_final_rows_is_usage_error(self, results_csv, tmp_path, capsys):
+        results_csv.write_text(results_csv.read_text().replace(",final,", ",3,"))
+        out = tmp_path / "stats"
+        assert main(["stats", "--results", str(results_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: results contain no 'final' rows\n"
+        assert not out.exists()
+
+    def test_missing_cell_is_usage_error(self, results_csv, tmp_path, capsys):
+        lines = results_csv.read_text().splitlines()
+        results_csv.write_text("\n".join(l for l in lines if not l.startswith("d2,onaq,")) + "\n")
+        out = tmp_path / "stats"
+        assert main(["stats", "--results", str(results_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: missing cell: dataset 'd2', method 'onaq'\n"
+        assert not out.exists()
 
     def test_unknown_metric_rejected(self, results_csv, capsys):
         rc = main(["stats", "--results", str(results_csv), "--metric", "speed"])

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from awwsvm import data
 from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, load_libsvm, parse_libsvm,
-                         split, synth_two_gaussians, to_libsvm)
+                         save_libsvm, split, synth_two_gaussians, to_libsvm)
 
 
 class TestParse:
@@ -79,6 +81,61 @@ class TestParse:
         assert ds.samples[0].features == ()
 
 
+class TestDataset:
+    def test_row_count_must_match_labels(self):
+        with pytest.raises(ValueError, match=r"^3 rows but labels of shape \(2,\)$"):
+            Dataset(X=sparse.csr_matrix((3, 2)), y=[1, -1])
+
+    def test_labels_must_be_plus_minus_one(self):
+        with pytest.raises(ValueError, match="^labels must be -1 or \\+1$"):
+            Dataset(X=sparse.csr_matrix((2, 2)), y=[1, 0])
+
+    def test_columns_must_ascend_within_a_row(self):
+        X = sparse.csr_matrix(([1.0, 2.0], [1, 0], [0, 2]), shape=(1, 2))
+        with pytest.raises(ValueError,
+                           match="^column indices must be strictly ascending within each row$"):
+            Dataset(X=X, y=[1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_error_naming_its_cell(self, value):
+        # the first non-finite cell in row order is named, as X[row, column]
+        dense = np.zeros((3, 4))
+        dense[1, 2] = value
+        dense[2, 0] = np.nan
+        with pytest.raises(ValueError, match=rf"^X\[1, 2\] is {value}: feature values must be finite$"):
+            Dataset(X=sparse.csr_matrix(dense), y=[1, -1, 1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_value_is_error(self, value):
+        samples = [Sample(features=((1, 1.0),), label=1),
+                   Sample(features=((2, 0.5), (4, value)), label=-1)]
+        with pytest.raises(ValueError, match=rf"^X\[1, 3\] is {value}: feature values must be finite$"):
+            Dataset.from_samples(samples)
+        # so no dataset writes text that parse_libsvm refuses, such as '4:nan'
+        with pytest.raises(ValueError, match=r"^X\[1, 3\] is "):
+            to_libsvm(Dataset.from_samples(samples))
+
+    def test_sample_label_must_be_plus_minus_one(self):
+        with pytest.raises(ValueError, match="^label must be -1 or \\+1, got 0$"):
+            Sample(features=(), label=0)
+
+    @pytest.mark.parametrize("features, message", [
+        (((2, 1.0), (2, 1.0)), "got 2 after 2"),
+        (((0, 1.0),), "got 0 after 0"),
+    ])
+    def test_sample_indices_must_ascend_from_one(self, features, message):
+        with pytest.raises(ValueError,
+                           match=f"^feature indices must be strictly ascending and >= 1, {message}$"):
+            Sample(features=features, label=1)
+
+    def test_from_samples_dim_below_largest_index_is_error(self):
+        with pytest.raises(ValueError, match="^dim 3 smaller than max feature index 5$"):
+            Dataset.from_samples([Sample(features=((5, 1.0),), label=1)], dim=3)
+
+    def test_empty_dataset_text_is_one_newline(self):
+        assert to_libsvm(Dataset(X=sparse.csr_matrix((0, 3)), y=[])) == "\n"
+
+
 class TestRoundTrip:
     def test_parsed_dataset_round_trips(self):
         text = "+1 1:0.5 3:2.0\n-1 2:1.0\n+1 1:-3.25\n"
@@ -128,6 +185,11 @@ class TestSplit:
         b = split(ds, 0.25, seed=42)
         assert a[0].samples == b[0].samples
         assert a[1].samples == b[1].samples
+
+    @pytest.mark.parametrize("n_neg, n_pos", [(5, 1), (1, 5)])
+    def test_fewer_than_two_of_a_class_is_error(self, n_neg, n_pos):
+        with pytest.raises(ValueError, match="^split requires at least 2 samples per class$"):
+            split(self._dataset(n_neg, n_pos), 0.5, seed=0)
 
     def test_fraction_bounds(self):
         ds = self._dataset(4, 4)
@@ -229,12 +291,37 @@ class TestMinibatchSampler:
             s.drop([0, 2])
 
 
+# lines of "+1 1:1" that fill the first piece of text a file is read in
+FIRST_PIECE_LINES = data._PIECE // len("+1 1:1\n") + 1
+
+
+def dense_text(rows: int, feats: int) -> str:
+    """LIBSVM text of ``rows`` x ``feats`` uniform(-1, 1) values, each written
+    as its repr, with alternating labels."""
+    rng = np.random.default_rng(0)
+    return "".join(("+1" if i % 2 else "-1")
+                   + "".join(f" {j}:{v!r}" for j, v in enumerate(row, start=1)) + "\n"
+                   for i, row in enumerate(rng.uniform(-1, 1, (rows, feats)).tolist()))
+
+
+def traced_peak(fn, *args):
+    """(result, bytes still held, peak bytes) of ``fn(*args)`` under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
 class TestLoad:
     @pytest.mark.parametrize("raw, message", [
         (b"+1 1:1\n-1 2:1 # caf\xe9\n", "line 2: byte 0xe9 is not UTF-8"),
         (b"+1 1:1\r-1 2:1\r\r\n\xff 1:1\r", "line 4: byte 0xff is not UTF-8"),
-        # a cut two-byte sequence, in the second block of lines
-        (b"+1 1:1\n" * 5000 + b"+1 1:\xc3\n", "line 5001: byte 0xc3 is not UTF-8"),
+        # a cut two-byte sequence, in the second piece of text
+        (b"+1 1:1\n" * FIRST_PIECE_LINES + b"+1 1:\xc3\n",
+         f"line {FIRST_PIECE_LINES + 1}: byte 0xc3 is not UTF-8"),
         # an earlier malformed line is named first
         (b"+1 1:x\n\xff\n", "line 1: bad feature token '1:x'"),
     ], ids=["comment", "cr-breaks", "later-block", "earlier-error"])
@@ -245,24 +332,56 @@ class TestLoad:
             load_libsvm(str(path))
         assert str(exc.value) == message
 
-    # (rows, features per row, bound on the peak over the file size). One block
-    # of 4,000 long lines peaked at ~9.1x the file size with a copy of the block
-    # at 4 bytes per character for numpy's reader, and peaks at ~3.4x without
-    # it; 40,000 short lines peaked at ~3.1x with the whole text read first,
-    # and peak at ~2.1x read a block of lines at a time
-    @pytest.mark.parametrize("rows, feats, bound", [(4000, 40, 5.0), (40_000, 4, 2.7)])
+    # (rows, features per row, bound on the peak over the file size). One
+    # block of 4,000 long lines peaked at ~9.1x the file size with a copy of
+    # the block at 4 bytes per character for numpy's reader, and at ~3.4x
+    # without it; 40,000 short lines peaked at ~3.1x with the whole text read
+    # first, and at ~2.1x read 4,096 lines at a time. Read a piece at a time,
+    # with each parsed field joined apart, they peak at ~1.3x and ~1.7x
+    @pytest.mark.parametrize("rows, feats, bound", [(4000, 40, 1.6), (40_000, 4, 2.0)])
     def test_peak_memory_stays_within_a_few_file_sizes(self, tmp_path, rows, feats, bound):
-        rng = np.random.default_rng(0)
         path = tmp_path / "dense.libsvm"
-        path.write_text("".join(("+1" if i % 2 else "-1")
-                                + "".join(f" {j}:{v!r}" for j, v in enumerate(row, start=1)) + "\n"
-                                for i, row in enumerate(rng.uniform(-1, 1, (rows, feats)).tolist())))
+        path.write_text(dense_text(rows, feats))
         size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            ds = load_libsvm(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, _, peak = traced_peak(load_libsvm, str(path))
         assert (len(ds), ds.X.nnz) == (rows, rows * feats)
         assert peak < bound * size, f"peak {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"
+
+    def test_peak_on_long_lines_is_bounded_by_the_piece(self, tmp_path):
+        # 100 lines of 2,000 features (4.8 MB): a block of 4,096 lines held
+        # all of them and peaked ~57 MB above the dataset it returns. Pieces
+        # bound what the parse holds; the rest is the parsed arrays, held
+        # twice while one field's blocks are joined
+        path = tmp_path / "long.libsvm"
+        path.write_text(dense_text(100, 2000))
+        ds, current, peak = traced_peak(load_libsvm, str(path))
+        assert ds.X.nnz == 200_000
+        assert peak - 2 * current < 4 * data._PIECE, (
+            f"peak {peak / 1e6:.2f} MB, dataset {current / 1e6:.2f} MB")
+
+
+class TestSave:
+    def test_peak_is_a_small_part_of_the_file(self, tmp_path):
+        # the text of 4,000 x 40 values (3.6 MB) was built in 4,096-row chunks
+        # and peaked at ~4.9x the file; entry-bounded chunks peak at ~0.13x
+        path = tmp_path / "out.libsvm"
+        text = dense_text(4000, 40)
+        ds = parse_libsvm(text)
+        _, _, peak = traced_peak(save_libsvm, ds, str(path))
+        size = path.stat().st_size
+        assert path.read_text() == text
+        assert peak < 0.5 * size, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.1f} MB file"
+
+    def test_chunks_are_bounded_by_entries_and_hold_whole_rows(self, monkeypatch):
+        # rows of 0, 1, 5 and 9 entries, each label counted as one more
+        dense = np.zeros((8, 9))
+        for row, k in enumerate([0, 1, 5, 9, 0, 0, 5, 1]):
+            dense[row, :k] = row + 1
+        ds = Dataset(X=sparse.csr_matrix(dense), y=[1, -1] * 4)
+        whole = to_libsvm(ds)
+        monkeypatch.setattr(data, "_WRITE_ENTRIES", 7)
+        chunks = list(data._libsvm_chunks(ds))
+        # entries per row: 1, 2, 6, 10, 1, 1, 6, 2. The row of 10 is a chunk
+        # alone, and a row that would take a chunk past 7 starts the next
+        assert [chunk.count("\n") for chunk in chunks] == [2, 1, 1, 2, 1, 1]
+        assert "".join(chunks) == whole

@@ -189,6 +189,20 @@ fuzzed_lines = st.lists(st.one_of(
     max_size=8)
 
 
+GOOD_LINE = "+1 1:1 2:0.5\n"
+# lines of GOOD_LINE that fill the first piece of text, so that what follows
+# them is parsed in a later block
+FIRST_PIECE_LINES = data._PIECE // len(GOOD_LINE) + 1
+
+
+def after_first_piece(rest: str) -> str:
+    """``rest`` after ``FIRST_PIECE_LINES`` good lines: the first piece of the
+    text ends where ``rest`` begins."""
+    good = GOOD_LINE * FIRST_PIECE_LINES
+    assert next(data._cut_text(good + rest)) == good
+    return good + rest
+
+
 class TestParserMatchesScalarReference:
     @pytest.mark.parametrize("bad", [
         "+1 1:2:3 4", "+1 1:", "+1 :1", "+1 1::2", "+1 1:0x10", "+1 1.0:1",
@@ -214,10 +228,9 @@ class TestParserMatchesScalarReference:
         assert_parses_like_reference(text)
 
     def test_errors_in_a_later_block_name_their_line(self):
-        good = "+1 1:1 2:0.5\n" * 4500
-        assert_parses_like_reference(good + "-1 1:1\n0 1:1\n")
-        assert_parses_like_reference(good + "-1 1:x\n")
-        assert_parses_like_reference(good + "-1 3:1\n" * 5000)
+        assert_parses_like_reference(after_first_piece("-1 1:1\n0 1:1\n"))
+        assert_parses_like_reference(after_first_piece("-1 1:x\n"))
+        assert_parses_like_reference(after_first_piece("-1 3:1\n" * 5000))
 
     def test_index_beyond_int64_is_parse_error(self):
         # the scalar parser accepted it; no matrix can hold such a column
@@ -290,15 +303,16 @@ class TestCReaderPath:
     def test_refused_tokens_in_a_later_block_parse_like_reference(self):
         # int() and float() accept 1_0, 1_5 and Arabic-Indic digits; the C
         # reader refuses them, so the second block takes the scalar parse
-        good = "+1 1:1 2:0.5\n" * 4500
-        text = good + "-1 1_0:2 11:1_5\n+1 \u0661:\u0663 12:1\n"
+        text = after_first_piece("-1 1_0:2 11:1_5\n+1 \u0661:\u0663 12:1\n")
         assert_parses_like_reference(text)
-        assert parse_libsvm(text).X[4500:].toarray()[:, [0, 9, 10, 11]].tolist() == [
+        assert parse_libsvm(text).X[FIRST_PIECE_LINES:].toarray()[:, [0, 9, 10, 11]].tolist() == [
             [0.0, 2.0, 15.0, 0.0], [3.0, 0.0, 0.0, 1.0]]
 
     def test_scalar_parse_alone_gives_the_same_dataset(self, monkeypatch):
+        # lines of 32-45 characters: at least three pieces
         text = "".join(f"{'+1' if i % 3 else '-1'} {i % 7 + 1}:{i / 7!r} 9:-0.0 {10 + i}:1e-320\n"
-                       for i in range(9000))
+                       for i in range(data._PIECE // 16))
+        assert len(list(data._cut_text(text))) >= 3
         # as on a numpy whose C reader parses an int64 field through float64
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_C_READER", False)
@@ -348,7 +362,7 @@ LINE_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028"]
 
 
 class TestLoadMatchesParse:
-    """The file is read a block of lines at a time; its lines, and so the
+    """The file is read a piece of text at a time; its lines, and so the
     dataset or the error, are those of the whole text."""
 
     def test_generated_files(self, tmp_path):
@@ -364,14 +378,68 @@ class TestLoadMatchesParse:
         b"",
         b"\n\n \r\n\t\r\x0c",
         b"+1 1:1\r\n-1 2:1\r\r\n+1 3:1\x0c\x0c-1 # e\xe2\x80\xa8+1 4:2\n\x0b0 1:1",
-        b"+1 1:1 2:0.5\n" * 5000 + b"-1 1:x\n",
-        b"+1 1:1 2:0.5\r" * 5000 + b"# \xc3\xa9\r-1 3:1\r2 1:1\r",
-        # one 2.4 MB line: longer than the 1 MiB pieces the file is read in
+        GOOD_LINE.encode() * FIRST_PIECE_LINES + b"-1 1:x\n",
+        GOOD_LINE.replace("\n", "\r").encode() * FIRST_PIECE_LINES
+        + b"# \xc3\xa9\r-1 3:1\r2 1:1\r",
+        # one 2.4 MB line: longer than the pieces the file is read in
         b"+1 " + " ".join(f"{i}:0.5" for i in range(1, 200_001)).encode() + b"\n-1 7:1\n",
     ], ids=["empty", "blank-only", "mixed-breaks", "error-after-block", "cr-later-block",
             "long-line"])
     def test_edge_files(self, tmp_path, raw):
         assert_loads_like_parse(tmp_path / "data.libsvm", raw)
+
+
+class TestPieces:
+    """Text is cut into pieces of ``data._PIECE`` characters and the rest of
+    the last line; every line keeps its text and its number."""
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r", "\n"])
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+    def test_break_at_the_piece_boundary(self, tmp_path, brk, shift):
+        # a comment line whose break starts at offset _PIECE + shift, then a
+        # bad line: the error names line 2 only if no break was cut in two
+        text = "# " + "c" * (data._PIECE - 2 + shift) + brk + "+1 1:x" + brk + "-1 2:1" + brk
+        first, rest = data._cut_text(text)
+        assert first.endswith(brk) and rest.startswith(("+1", "-1"))
+        with pytest.raises(ParseError, match="^line 2: bad feature token '1:x'$"):
+            parse_libsvm(text)
+        assert_parses_like_reference(text)
+        assert_loads_like_parse(tmp_path / "data.libsvm", text.encode("utf-8"))
+
+    def test_pieces_keep_the_lines(self, tmp_path):
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.lists(st.tuples(st.text("+1 :#x", max_size=6),
+                                  st.sampled_from(["\r\n", *LINE_BREAKS]))),
+               st.integers(1, 9))
+        def check(lines, piece):
+            text = "".join(line + brk for line, brk in lines)
+            path = tmp_path / "data.libsvm"
+            path.write_bytes(text.encode("utf-8"))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_PIECE", piece)
+                pieces = list(data._cut_text(text))
+                with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+                    file_pieces = list(data._text_chunks(fh))
+            assert "".join(pieces) == text
+            assert all(p.endswith(("\n", "\r")) for p in pieces[:-1])
+            assert [line for p in pieces for line in p.splitlines()] == text.splitlines()
+            assert ([line for p in file_pieces for line in p.splitlines()]
+                    == path.read_text(encoding="utf-8").splitlines())
+        check()
+
+    def test_small_pieces_parse_and_load_like_reference(self, tmp_path):
+        # pieces of a few characters: nearly every line is its own block, so
+        # labels seen in earlier blocks and line numbers cross many of them
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.one_of(numeric_texts().map(str.splitlines), fuzzed_lines),
+               st.sampled_from(["\r\n", *LINE_BREAKS]), st.integers(1, 40))
+        def check(lines, brk, piece):
+            text = brk.join(lines)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_PIECE", piece)
+                assert_parses_like_reference(text)
+                assert_loads_like_parse(tmp_path / "data.libsvm", text.encode("utf-8"))
+        check()
 
 
 @st.composite

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from awwsvm.data import parse_libsvm
+from scipy import sparse
+
+from awwsvm.data import Dataset, parse_libsvm
 from awwsvm.metrics import (ConfusionMatrix, confusion, confusion_from_predictions, report)
 from awwsvm.model import LinearModel
 
@@ -45,6 +47,15 @@ class TestConfusion:
         m = LinearModel(w=np.array([1.0]), b=0.0)
         cm = confusion(m, ds)
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (1, 1, 0, 1)
+
+    def test_length_mismatch_is_error(self):
+        with pytest.raises(ValueError, match="^prediction/label length mismatch$"):
+            confusion_from_predictions(np.array([1, -1]), np.array([1]))
+
+    def test_empty_dataset_is_error(self):
+        empty = Dataset(X=sparse.csr_matrix((0, 1)), y=np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            confusion(LinearModel(w=np.array([1.0]), b=0.0), empty)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -125,12 +125,20 @@ class TestSerialization:
         (lambda ls: ls[:1] + ["dim -1"] + ls[2:], 2, "'-1'"),
         (lambda ls: ls[:3] + ["labels -1:x"] + ls[4:], 4, "'-1:x'"),
         (lambda ls: ls[:4] + ["b"] + ls[5:], 5, "found 'b'"),
+        (lambda ls: ls[:2] + ["bias first"] + ls[3:], 3, "unknown bias convention 'first'"),
     ])
     def test_rejects_bad_value_naming_line(self, tmp_path, edit, line, bad):
         path = tmp_path / "m.txt"
         save_model(LinearModel(w=np.array([0.1, -0.2]), b=0.5), str(path))
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: .*{re.escape(bad)}$"):
+            load_model(str(path))
+
+    def test_rejects_missing_weights(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(LinearModel(w=np.array([0.1, -0.2]), b=0.5), str(path))
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 2 weights, found 1$"):
             load_model(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):

@@ -10,6 +10,7 @@ from awwsvm.model import decision_values
 from awwsvm.objective import WeightMode
 from awwsvm.optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
 from awwsvm.cli import WEIGHTS_COLUMNS
+from awwsvm.presets import preset_config
 from awwsvm.trainer import (METRIC_COLUMNS, Optimizer, RESULTS_COLUMNS, TrainConfig,
                             TrainingError, run_experiment, summary, to_csv, train)
 from awwsvm.weighting import NoiseMode, detect_noise, init_weights
@@ -443,3 +444,15 @@ class TestRunExperiment:
             {"dataset": "a", "method": "onaq", "n_seeds": 1, "accuracy": 0.25},
             {"dataset": "a", "method": "sgd", "n_seeds": 1, "accuracy": 1.0},
         ]
+
+
+class TestPresets:
+    @pytest.mark.parametrize("dataset, optimizer, inner, batch", [
+        ("a9a", Optimizer.OBFGS, 10, 128),
+        ("W1A", Optimizer.ONAQ, 5, 64),
+    ])
+    def test_quasi_newton_budget(self, dataset, optimizer, inner, batch):
+        # quasi-Newton runs take the preset's qn_* budget and start at alpha0 = 1
+        base = TrainConfig(optimizer=optimizer, adaptive=True, alpha0=0.3, seed=4)
+        assert preset_config(dataset, base) == replace(
+            base, outer_iters=10, inner_iters=inner, batch_size=batch, alpha0=1.0)

@@ -219,6 +219,10 @@ class TestDetectNoise:
             detect_noise(np.zeros(2), np.ones(2), np.ones(2, dtype=bool),
                          mode=NoiseMode.RAW_DOT)
 
+    def test_mode_that_is_not_a_noise_mode_is_error(self):
+        with pytest.raises(ValueError, match="^unknown noise mode signed$"):
+            detect_noise(np.zeros(2), np.ones(2), np.ones(2, dtype=bool), mode="signed")
+
     def test_both_classes_screened(self):
         d = np.array([1.0, 0.9, -0.2, -1.0, -0.8, 0.4])
         labels = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
