@@ -13,8 +13,8 @@ from .metrics import ConfusionMatrix, EvalReport, confusion, confusion_from_pred
 from .model import LinearModel, decision_values, load_model, predict, save_model
 from .objective import WeightMode
 from .optimizers import CURVATURE_FLOOR, bfgs_inverse_update
-from .stats import (NEMENYI_Q_05, RankTable, chi2_sf, friedman, nemenyi_cd, nemenyi_q,
-                    pairwise_significance, rank_rows)
+from .stats import (NEMENYI_Q_05, chi2_sf, friedman, nemenyi_cd, nemenyi_q, pairwise_significance,
+                    rank_rows)
 from .trainer import (Optimizer, RESULTS_COLUMNS, TrainConfig, TrainingError, run_experiment,
                       summary, train)
 from .weighting import NoiseMode, aw_raw, detect_noise, init_weights, update_weights

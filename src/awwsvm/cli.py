@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (ParseError, load_libsvm, save_libsvm, split, synth_two_gaussians)
+from .data import (Dataset, ParseError, load_libsvm, save_libsvm, split, synth_two_gaussians)
 from .metrics import confusion, report
 from .model import save_model
 from .stats import friedman, nemenyi_cd, nemenyi_q, pairwise_significance, rank_rows
@@ -162,6 +162,20 @@ def _load_dataset(path: str):
         raise CliError(f"{path}: {exc}") from None
 
 
+def _load_eval(path: str, train_ds: Dataset, train_path: str) -> Dataset:
+    """The dataset at ``path`` with its source labels mapped by the training
+    file's label map, so a one-class file is scored as the class it holds; a
+    label the training file lacks is a usage error."""
+    ds = _load_dataset(path)
+    y = np.empty_like(ds.y)
+    for src, dst in ds.label_map.items():
+        if src not in train_ds.label_map:
+            raise CliError(f"{path}: label {src} does not occur in the training file "
+                           f"{train_path} (labels {sorted(train_ds.label_map)})")
+        y[ds.y == dst] = train_ds.label_map[src]
+    return Dataset(X=ds.X, y=y, label_map=dict(train_ds.label_map))
+
+
 def _dataset_name(name, where: str) -> str:
     """``name`` if it can stand unquoted in a CSV cell, else a usage error."""
     if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
@@ -194,7 +208,7 @@ def cmd_train(args) -> int:
 
     ds = _load_dataset(cfg["data"])
     if cfg["test_data"]:
-        train_ds, eval_ds = ds, _load_dataset(cfg["test_data"])
+        train_ds, eval_ds = ds, _load_eval(cfg["test_data"], ds, cfg["data"])
     else:
         try:
             train_ds, eval_ds = split(ds, cfg["split"], cfg["seed"])
@@ -289,20 +303,23 @@ def cmd_experiment(args) -> int:
         if taken != where:
             raise CliError(f"{where}: method name {cfg.method_name!r} is already taken by {taken}")
         methods.append((cfg, merged.get("preset")))
-    dataset_entries = []
+    dataset_entries, ds_named = [], {}
     for i, entry in enumerate(manifest.get("datasets", [])):
         _check_keys(entry, DATASET_KEYS, f"datasets[{i}]")
         where = f"datasets[{i}] {json.dumps(entry, sort_keys=True)}"
         if not isinstance(entry.get("path"), str):
             raise CliError(f"{where}: 'path' must be a string")
         name = _dataset_name(entry.get("name") or Path(entry["path"]).stem, where)
+        taken = ds_named.setdefault(name, where)  # results are keyed by dataset name too
+        if taken != where:
+            raise CliError(f"{where}: dataset name {name!r} is already taken by {taken}")
         dataset_entries.append((where, name, _coerce_entry(entry, f"datasets[{i}]")))
 
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
     for where, name, entry in dataset_entries:
         ds = _load_dataset(entry["path"])
-        test = _load_dataset(entry["test_path"]) if entry.get("test_path") else None
+        test = _load_eval(entry["test_path"], ds, entry["path"]) if entry.get("test_path") else None
         configs = [preset_config(name, cfg)
                    if preset and name.lower() in PRESETS else cfg for cfg, preset in methods]
         datasets.append((where, name, ds, test, entry.get("split", CONFIG_SCHEMA["split"][1]),
@@ -404,14 +421,15 @@ def cmd_stats(args) -> int:
                 raise CliError(f"missing cell: dataset {d!r}, method {m!r}")
             values[i, j] = cells[(d, m)]
 
-    rt = rank_rows(values, higher_is_better=True)
-    chi2, p = friedman(rt)
+    ranks = rank_rows(values, higher_is_better=True)
+    chi2, p = friedman(ranks)
+    r = ranks.mean(axis=0)
     try:
         q = args.q if args.q is not None else nemenyi_q(len(methods), args.alpha)
         cd = nemenyi_cd(len(methods), len(datasets), q)
     except ValueError as exc:
         raise CliError(f"{exc}; give a positive critical value with --q") from None
-    sig = pairwise_significance(rt, cd)
+    sig = pairwise_significance(r, cd)
 
     out = _out_dir(args.out, "awwsvm-stats")
     lines = [f"metric: {metric}",
@@ -419,9 +437,8 @@ def cmd_stats(args) -> int:
              f"friedman chi2 = {chi2:.4f}   p = {p:.6g}",
              f"critical difference (q={q:.3f}, alpha={args.alpha}) = {cd:.4f}",
              "mean ranks (1 = best):",
-             *(f"  {methods[j]:<16} {rt.mean_ranks[j]:.4f}" for j in np.argsort(rt.mean_ranks)),
+             *(f"  {methods[j]:<16} {r[j]:.4f}" for j in np.argsort(r)),
              "significant pairs (|rank diff| > CD):"]
-    r = rt.mean_ranks
     lines += [f"  {methods[i]} vs {methods[j]}  (diff {abs(r[i] - r[j]):.4f})"
               for i in range(len(methods)) for j in range(i + 1, len(methods)) if sig[i, j]
               ] or ["  none"]
@@ -429,8 +446,8 @@ def cmd_stats(args) -> int:
     (out / "stats_report.txt").write_text(text, encoding="utf-8")
     print(text, end="")
 
-    ranks = [{"method": m, "mean_rank": r, "cd": cd} for m, r in zip(methods, rt.mean_ranks)]
-    (out / "mean_ranks.csv").write_text(to_csv(ranks, ["method", "mean_rank", "cd"]),
+    table = [{"method": m, "mean_rank": rank, "cd": cd} for m, rank in zip(methods, r)]
+    (out / "mean_ranks.csv").write_text(to_csv(table, ["method", "mean_rank", "cd"]),
                                         encoding="utf-8")
 
     sig_buf = ["method," + ",".join(methods)]

@@ -89,15 +89,6 @@ class Dataset:
     def n_neg(self) -> int:
         return len(self) - self.n_pos
 
-    @property
-    def samples(self) -> list[Sample]:
-        """The rows as ``Sample`` tuples, built anew on each access."""
-        ptr = self.X.indptr.tolist()
-        idx = (self.X.indices.astype(np.int64) + 1).tolist()
-        val = self.X.data.tolist()
-        return [Sample(features=tuple(zip(idx[a:b], val[a:b])), label=lab)
-                for a, b, lab in zip(ptr, ptr[1:], self.y.tolist())]
-
     @classmethod
     def from_samples(cls, samples: list[Sample], dim: int | None = None,
                      label_map: dict[int, int] | None = None) -> "Dataset":
@@ -358,7 +349,9 @@ def _libsvm_chunks(ds: Dataset) -> Iterator[str]:
 
 
 def to_libsvm(ds: Dataset) -> str:
-    """Serialize with mapped {-1,+1} labels; reparsing yields an equal Dataset."""
+    """Serialize with mapped {-1,+1} labels. Reparsing yields an equal Dataset
+    when ``ds`` has a row; an empty dataset's text is one newline, which
+    ``parse_libsvm`` refuses as ``empty dataset: no samples found``."""
     return "".join(_libsvm_chunks(ds))
 
 

@@ -14,7 +14,6 @@ differ significantly when their mean ranks differ by more than
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -27,18 +26,9 @@ NEMENYI_Q_05 = {
 }
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Values (N datasets x K methods), their per-row ranks, and mean ranks."""
-
-    values: np.ndarray
-    ranks: np.ndarray
-    mean_ranks: np.ndarray
-    higher_is_better: bool
-
-
-def rank_rows(values: np.ndarray, higher_is_better: bool = True) -> RankTable:
-    """Rank each row (1 = best); ties get the average of the tied positions."""
+def rank_rows(values: np.ndarray, higher_is_better: bool = True) -> np.ndarray:
+    """The N x K float64 ranks of each row (1 = best); ties get the average of
+    the tied positions."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 2:
         raise ValueError("need an N x K matrix with N >= 2 and K >= 2")
@@ -47,16 +37,15 @@ def rank_rows(values: np.ndarray, higher_is_better: bool = True) -> RankTable:
     keyed = -values if higher_is_better else values
     # a value's tied positions run from (# keyed below it) + 1 to (# at or
     # below it); their mean is an exact half-integer
-    ranks = np.vstack([(np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1) / 2
-                       for s, row in zip(np.sort(keyed, axis=1), keyed)])
-    return RankTable(values=values, ranks=ranks, mean_ranks=ranks.mean(axis=0),
-                     higher_is_better=higher_is_better)
+    return np.vstack([(np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1) / 2
+                      for s, row in zip(np.sort(keyed, axis=1), keyed)])
 
 
-def friedman(rt: RankTable) -> tuple[float, float]:
-    """Friedman statistic over the mean ranks and its chi-square upper-tail p."""
-    n, k = rt.values.shape
-    r = rt.mean_ranks
+def friedman(ranks: np.ndarray) -> tuple[float, float]:
+    """Friedman statistic of an N x K rank matrix, over its mean ranks, and
+    its chi-square upper-tail p."""
+    n, k = ranks.shape
+    r = ranks.mean(axis=0)
     stat = 12.0 * n / (k * (k + 1)) * (float(np.sum(r ** 2)) - k * (k + 1) ** 2 / 4.0)
     stat = max(stat, 0.0)
     return stat, chi2_sf(stat, k - 1)
@@ -77,11 +66,10 @@ def nemenyi_cd(k: int, n: int, q_alpha: float) -> float:
     return q_alpha * math.sqrt(k * (k + 1) / (6.0 * n))
 
 
-def pairwise_significance(rt, cd: float) -> np.ndarray:
+def pairwise_significance(mean_ranks: np.ndarray, cd: float) -> np.ndarray:
     """Boolean matrix: entry (i,j) is True iff |R_i - R_j| strictly exceeds cd."""
-    ranks = rt.mean_ranks if isinstance(rt, RankTable) else np.asarray(rt, dtype=np.float64)
-    diff = np.abs(ranks[:, None] - ranks[None, :])
-    return diff > cd
+    r = np.asarray(mean_ranks, dtype=np.float64)
+    return np.abs(r[:, None] - r[None, :]) > cd
 
 
 def chi2_sf(x: float, df: int) -> float:

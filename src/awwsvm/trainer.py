@@ -69,8 +69,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
-        if np.isinf(self.C):
-            raise ValueError(f"C must be finite, got {self.C}")
         if self.outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("outer_iters and inner_iters must be >= 1")
         if self.batch_size < 1:
@@ -83,17 +81,16 @@ class TrainConfig:
             raise ValueError(f"eps_h must be positive, got {self.eps_h}")
         if not self.damping >= 0:
             raise ValueError(f"lambda (damping) must be nonnegative, got {self.damping}")
-        for key, v in (("sigma", self.sigma), ("eps_h", self.eps_h),
-                       ("lambda (damping)", self.damping)):
-            if np.isinf(v):
-                raise ValueError(f"{key} must be finite, got {v}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.alpha0 >= 0 and self.tau > 0):
             raise ValueError(f"alpha0 must be nonnegative and tau positive, "
                              f"got alpha0={self.alpha0}, tau={self.tau}")
-        for key, v in (("alpha0", self.alpha0), ("tau", self.tau)):
-            if math.isinf(v):
+        # the checks above refuse nan and -inf, so what is left here is inf
+        for key, v in (("C", self.C), ("sigma", self.sigma), ("eps_h", self.eps_h),
+                       ("lambda (damping)", self.damping), ("alpha0", self.alpha0),
+                       ("tau", self.tau)):
+            if not math.isfinite(v):
                 raise ValueError(f"{key} must be finite, got {v}")
 
     @property

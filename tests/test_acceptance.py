@@ -106,34 +106,34 @@ def test_criterion_02_mean_ranks_match_published_row():
     # methods, including the tie of methods 1 and 3; the values are pinned to
     # an independent count over the published accuracies.
     n, k = ACCURACY_TABLE.shape
-    rt = rank_rows(ACCURACY_TABLE)
+    mean_ranks = rank_rows(ACCURACY_TABLE).mean(axis=0)
     counted = _counted_rank_sums(ACCURACY_TABLE)
     assert counted == [54, 24, 57, 24, 68.5, 24.5]
-    exact = np.allclose(rt.mean_ranks, np.array(counted) / n, rtol=0, atol=1e-12)
+    exact = np.allclose(mean_ranks, np.array(counted) / n, rtol=0, atol=1e-12)
 
-    order = rankdata(rt.mean_ranks)
+    order = rankdata(mean_ranks)
     ordered = np.array_equal(order, rankdata(PUBLISHED_MEAN_RANKS))
 
     full = k * (k + 1) / 2
-    sums_full = abs(rt.mean_ranks.sum() - full) <= 1e-12
+    sums_full = abs(mean_ranks.sum() - full) <= 1e-12
     published_off = abs(PUBLISHED_MEAN_RANKS.sum() - full) > k * 0.01
 
     cd = nemenyi_cd(k, n, 2.850)
-    changed = np.argwhere(np.triu(pairwise_significance(rt, cd)
+    changed = np.argwhere(np.triu(pairwise_significance(mean_ranks, cd)
                                   != pairwise_significance(PUBLISHED_MEAN_RANKS, cd)))
     verdicts = "; ".join(
-        f"methods {i}/{j} gap {abs(rt.mean_ranks[i] - rt.mean_ranks[j]):.3f} vs published "
+        f"methods {i}/{j} gap {abs(mean_ranks[i] - mean_ranks[j]):.3f} vs published "
         f"{abs(PUBLISHED_MEAN_RANKS[i] - PUBLISHED_MEAN_RANKS[j]):.2f}"
         for i, j in changed)
     ok = exact and ordered and sums_full and published_off
     _line(2, ok,
-          f"mean ranks {np.round(rt.mean_ranks, 4).tolist()} (sum {rt.mean_ranks.sum():.2f}) "
+          f"mean ranks {np.round(mean_ranks, 4).tolist()} (sum {mean_ranks.sum():.2f}) "
           f"vs published {PUBLISHED_MEAN_RANKS.tolist()} (sum {PUBLISHED_MEAN_RANKS.sum():.2f}), "
           f"ordering {'matches' if ordered else 'differs'}; Nemenyi (CD {cd:.4f}) "
           f"changed by the published row: {verdicts or 'none'}")
-    assert exact, f"mean ranks {rt.mean_ranks.tolist()} != counted {np.array(counted) / n}"
+    assert exact, f"mean ranks {mean_ranks.tolist()} != counted {np.array(counted) / n}"
     assert ordered, f"method order {order.tolist()} != published {rankdata(PUBLISHED_MEAN_RANKS)}"
-    assert sums_full, f"mean ranks sum to {rt.mean_ranks.sum()}, not K(K+1)/2 = {full}"
+    assert sums_full, f"mean ranks sum to {mean_ranks.sum()}, not K(K+1)/2 = {full}"
     assert published_off, "published row sums close enough to K(K+1)/2 for a 0.01 match"
 
 

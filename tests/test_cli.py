@@ -735,6 +735,37 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xc3 is not UTF-8\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["stem", "name"])
+    def test_repeated_dataset_name_is_usage_error(self, two_files, tmp_path, capsys, case):
+        # results are keyed by dataset name, so two sets of one name would merge
+        if case == "stem":
+            entries = []
+            for sub, src in (("a", two_files[0]), ("b", two_files[1])):
+                (tmp_path / sub).mkdir()
+                (tmp_path / sub / "x.libsvm").write_bytes(src.read_bytes())
+                entries.append({"path": str(tmp_path / sub / "x.libsvm")})
+            name = "x"
+        else:
+            entries = [{"name": "ds0", "path": str(two_files[1])}, {"path": str(two_files[0])}]
+            name = "ds0"
+        manifest = _write_manifest(tmp_path, entries, [{}], seeds=[0])
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: datasets[1] {json.dumps(entries[1], sort_keys=True)}: dataset name "
+            f"{name!r} is already taken by datasets[0] {json.dumps(entries[0], sort_keys=True)}\n")
+        assert not out.exists()
+
+    def test_one_file_under_two_names_is_allowed(self, two_files, tmp_path):
+        manifest = _write_manifest(tmp_path, [{"name": "p", "path": str(two_files[0])},
+                                              {"name": "q", "path": str(two_files[0])}],
+                                   [{}], seeds=[0])
+        out = tmp_path / "exp"
+        assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["p", "q"]
+
     def test_non_utf8_manifest_is_usage_error_naming_line(self, two_files, tmp_path, capsys):
         manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], [{}], seeds=[0])
         text = manifest.read_bytes().replace(b'"seeds"', b'\n"\xe9": 1, "seeds"')
@@ -829,6 +860,76 @@ class TestExperimentCommand:
             f"error: methods[0] {json.dumps(method, sort_keys=True)}: bad value for 'preset': "
             f"not a boolean: {text!r}\n")
         assert not out.exists()
+
+
+@pytest.fixture()
+def one_class_test_files(tmp_path):
+    """{labels: (training file, test file)}: one training set and a test set of
+    negatives only, written with the source labels -1/+1 ("pm") and 1/2 ("12",
+    where 2 is the positive class). Files of one set share their stem."""
+    main(["synth", "--n-pos", "60", "--n-neg", "140", "--separation", "3.0", "--seed", "3",
+          "--out", str(tmp_path / "t.libsvm")])
+    main(["synth", "--n-pos", "10", "--n-neg", "50", "--separation", "3.0", "--seed", "4",
+          "--out", str(tmp_path / "e.libsvm")])
+    train = (tmp_path / "t.libsvm").read_text().splitlines(keepends=True)
+    test = [line for line in (tmp_path / "e.libsvm").read_text().splitlines(keepends=True)
+            if line.startswith("-1 ")]
+    files = {}
+    for key, rename in (("pm", {}), ("12", {"-1": "1", "+1": "2"})):
+        (tmp_path / key).mkdir()
+        paths = []
+        for name, lines in (("toy", train), ("neg", test)):
+            path = tmp_path / key / f"{name}.libsvm"
+            path.write_text("".join(rename.get(line[:2], line[:2]) + line[2:] for line in lines))
+            paths.append(path)
+        files[key] = tuple(paths)
+    return files
+
+
+class TestEvalLabels:
+    """A test file's labels are read through the training file's label map, so
+    a file holding one class is scored as that class."""
+
+    def test_train_test_data_scored_by_the_training_map(self, one_class_test_files, tmp_path,
+                                                        capsys):
+        reports = []
+        for key, (train, test) in one_class_test_files.items():
+            rc = main(["train", "--data", str(train), "--test-data", str(test), "-v",
+                       "--out", str(tmp_path / f"run-{key}")])
+            assert rc == 0
+            reports.append(capsys.readouterr().out.splitlines()[:-1])  # all but "wrote ..."
+        assert reports[0] == reports[1]
+        counts = [line for line in reports[1] if line.startswith("  counts: ")]
+        assert counts[0].startswith("  counts: tp=0 fn=0 fp=")
+
+    def test_experiment_test_path_scored_by_the_training_map(self, one_class_test_files,
+                                                            tmp_path):
+        blobs = []
+        for key, (train, test) in one_class_test_files.items():
+            manifest = _write_manifest(tmp_path, [{"path": str(train), "test_path": str(test)}],
+                                       [{"optimizer": "sgd"}], seeds=[0])
+            out = tmp_path / f"exp-{key}"
+            assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 0
+            blobs.append((out / "results.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_label_missing_from_training_file_is_usage_error(self, one_class_test_files,
+                                                             tmp_path, capsys, command):
+        # -1 is not a label of a file labeled 1/2
+        train, test = one_class_test_files["12"][0], one_class_test_files["pm"][1]
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(train), "--test-data", str(test)]
+        else:
+            manifest = _write_manifest(tmp_path, [{"path": str(train), "test_path": str(test)}],
+                                       [{}], seeds=[0])
+            argv = ["experiment", "--manifest", str(manifest)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {test}: label -1 does not occur in the "
+                                           f"training file {train} (labels [1, 2])\n")
+        assert not out.exists()
+
 
 class TestStatsCommand:
     @pytest.fixture()

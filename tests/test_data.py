@@ -8,6 +8,7 @@ from scipy import sparse
 from awwsvm import data
 from awwsvm.data import (Dataset, MinibatchSampler, ParseError, Sample, load_libsvm, parse_libsvm,
                          save_libsvm, split, synth_two_gaussians, to_libsvm)
+from test_data_equivalence import assert_same_dataset
 
 
 class TestParse:
@@ -16,7 +17,8 @@ class TestParse:
         assert len(ds) == 2
         assert ds.dim == 3
         assert (ds.n_pos, ds.n_neg) == (1, 1)
-        assert ds.samples[0].features == ((1, 0.5), (3, 2.0))
+        row = ds.X[0]
+        assert ((row.indices + 1).tolist(), row.data.tolist()) == ([1, 3], [0.5, 2.0])
 
     def test_empty_input_is_error(self):
         with pytest.raises(ParseError, match="empty"):
@@ -64,8 +66,7 @@ class TestParse:
     def test_zero_one_label_mapping(self):
         ds = parse_libsvm("0 1:1.0\n1 1:2.0")
         assert ds.label_map == {0: -1, 1: 1}
-        assert ds.samples[0].label == -1
-        assert ds.samples[1].label == 1
+        np.testing.assert_array_equal(ds.y, [-1, 1])
 
     def test_one_two_label_mapping(self):
         ds = parse_libsvm("1 1:1.0\n2 1:2.0")
@@ -78,7 +79,7 @@ class TestParse:
     def test_feature_free_line_allowed(self):
         # real-world files carry all-zero samples as label-only lines
         ds = parse_libsvm("+1\n-1 1:1.0")
-        assert ds.samples[0].features == ()
+        assert ds.X[0].nnz == 0
 
 
 class TestDataset:
@@ -135,6 +136,11 @@ class TestDataset:
     def test_empty_dataset_text_is_one_newline(self):
         assert to_libsvm(Dataset(X=sparse.csr_matrix((0, 3)), y=[])) == "\n"
 
+    def test_empty_dataset_text_does_not_parse_back(self):
+        # the round trip holds for a dataset with at least one row
+        with pytest.raises(ParseError, match="^empty dataset: no samples found$"):
+            parse_libsvm(to_libsvm(Dataset(X=sparse.csr_matrix((0, 3)), y=[])))
+
 
 class TestRoundTrip:
     def test_parsed_dataset_round_trips(self):
@@ -142,7 +148,7 @@ class TestRoundTrip:
         ds = parse_libsvm(text)
         again = parse_libsvm(to_libsvm(ds))
         assert again.dim == ds.dim
-        assert again.samples == ds.samples
+        assert_same_dataset(again, ds)
         assert (again.n_pos, again.n_neg) == (ds.n_pos, ds.n_neg)
 
     def test_random_datasets_round_trip(self):
@@ -156,7 +162,9 @@ class TestRoundTrip:
                 samples.append(Sample(features=feats, label=int(rng.choice([-1, 1]))))
             ds = Dataset.from_samples(samples)
             again = parse_libsvm(to_libsvm(ds))
-            assert again.samples == ds.samples
+            # a file holding one label maps only that label
+            observed = {int(v): int(v) for v in np.unique(ds.y)}
+            assert_same_dataset(again, Dataset(X=ds.X, y=ds.y, label_map=observed))
             assert again.dim == ds.dim
 
 
@@ -183,8 +191,8 @@ class TestSplit:
         ds = self._dataset(30, 10)
         a = split(ds, 0.25, seed=42)
         b = split(ds, 0.25, seed=42)
-        assert a[0].samples == b[0].samples
-        assert a[1].samples == b[1].samples
+        assert_same_dataset(a[0], b[0])
+        assert_same_dataset(a[1], b[1])
 
     @pytest.mark.parametrize("n_neg, n_pos", [(5, 1), (1, 5)])
     def test_fewer_than_two_of_a_class_is_error(self, n_neg, n_pos):
@@ -206,7 +214,8 @@ class TestSplit:
 class TestSynth:
     def test_clean_positives_on_positive_side(self):
         ds = synth_two_gaussians(50, 50, 10.0, 0.0, seed=5)
-        pos_first = [s.features[0][1] for s in ds.samples if s.label == 1]
+        # both coordinates are stored, so column 0 is each row's first feature
+        pos_first = ds.X.toarray()[ds.y == 1, 0]
         assert all(v > 0 for v in pos_first)
 
     def test_imbalance(self):
@@ -216,12 +225,12 @@ class TestSynth:
     def test_deterministic(self):
         a = synth_two_gaussians(30, 20, 2.0, 0.1, seed=9)
         b = synth_two_gaussians(30, 20, 2.0, 0.1, seed=9)
-        assert a.samples == b.samples
+        assert_same_dataset(a, b)
 
     def test_flip_count(self):
         ds = synth_two_gaussians(200, 200, 3.0, 0.05, seed=1)
         clean = synth_two_gaussians(200, 200, 3.0, 0.0, seed=1)
-        n_diff = sum(a.label != b.label for a, b in zip(ds.samples, clean.samples))
+        n_diff = np.count_nonzero(ds.y != clean.y)
         assert n_diff == 20
 
     def test_bad_params(self):

@@ -444,6 +444,7 @@ class TestPieces:
 
 @st.composite
 def datasets(draw):
+    """A Dataset and the rows it was built from, for the scalar references."""
     rows = draw(st.lists(st.tuples(
         st.sets(st.integers(1, 40), max_size=6),
         st.sampled_from([-1, 1])), min_size=1, max_size=25))
@@ -452,23 +453,24 @@ def datasets(draw):
         vals = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                              min_size=len(idxs), max_size=len(idxs)))
         samples.append(Sample(features=tuple(zip(sorted(idxs), vals)), label=label))
-    return Dataset.from_samples(samples)
+    return Dataset.from_samples(samples), samples
 
 
 class TestRoundTripProperty:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(datasets())
-    def test_parse_of_to_libsvm_is_identity(self, ds):
+    def test_parse_of_to_libsvm_is_identity(self, drawn):
+        ds, samples = drawn
         text = to_libsvm(ds)
-        assert text == scalar_to_libsvm(ds.samples)
+        assert text == scalar_to_libsvm(samples)
         again = parse_libsvm(text)
         # a file holding one label maps only that label
         observed = {int(v): int(v) for v in np.unique(ds.y)}
         assert_same_dataset(again, Dataset(X=ds.X, y=ds.y, label_map=observed))
-        assert again.samples == ds.samples
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(datasets(), st.sampled_from([None, 0, 5, 60]), st.booleans())
-    def test_to_matrix_matches_reference(self, ds, dim, augment):
-        want = scalar_to_matrix(ds.samples, ds.dim if dim is None else dim, augment)
+    def test_to_matrix_matches_reference(self, drawn, dim, augment):
+        ds, samples = drawn
+        want = scalar_to_matrix(samples, ds.dim if dim is None else dim, augment)
         assert_same_csr(ds.to_matrix(dim=dim, augment=augment), want)
