@@ -214,6 +214,7 @@ def cmd_train(args) -> int:
             train_ds, eval_ds = split(ds, cfg["split"], cfg["seed"])
         except ValueError as exc:
             raise CliError(f"cannot split {cfg['data']}: {exc}") from None
+    del ds  # split copied its rows; with --test-data the full set is train_ds
 
     out = _out_dir(cfg["out"], "awwsvm-run")
     (out / "resolved.cfg").write_text(format_config(cfg), encoding="utf-8")
@@ -307,8 +308,9 @@ def cmd_experiment(args) -> int:
     for i, entry in enumerate(manifest.get("datasets", [])):
         _check_keys(entry, DATASET_KEYS, f"datasets[{i}]")
         where = f"datasets[{i}] {json.dumps(entry, sort_keys=True)}"
-        if not isinstance(entry.get("path"), str):
-            raise CliError(f"{where}: 'path' must be a string")
+        for key in ("path", "test_path") if "test_path" in entry else ("path",):
+            if not (isinstance(entry.get(key), str) and entry[key]):
+                raise CliError(f"{where}: {key!r} must be a non-empty string")
         name = _dataset_name(entry.get("name") or Path(entry["path"]).stem, where)
         taken = ds_named.setdefault(name, where)  # results are keyed by dataset name too
         if taken != where:
@@ -319,7 +321,7 @@ def cmd_experiment(args) -> int:
     datasets = []
     for where, name, entry in dataset_entries:
         ds = _load_dataset(entry["path"])
-        test = _load_eval(entry["test_path"], ds, entry["path"]) if entry.get("test_path") else None
+        test = _load_eval(entry["test_path"], ds, entry["path"]) if "test_path" in entry else None
         configs = [preset_config(name, cfg)
                    if preset and name.lower() in PRESETS else cfg for cfg, preset in methods]
         datasets.append((where, name, ds, test, entry.get("split", CONFIG_SCHEMA["split"][1]),

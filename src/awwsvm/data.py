@@ -113,9 +113,14 @@ class Dataset:
         """CSR feature matrix; ``augment`` appends a constant-1 bias column.
 
         Features with index beyond ``dim`` are dropped (a test set may carry
-        indices the training dimension never saw).
+        indices the training dimension never saw). At the set's own ``dim``
+        without ``augment`` this is ``X`` itself, and a wider ``dim`` shares
+        ``X``'s arrays: that matrix is the dataset's own and must not be
+        mutated.
         """
         dim = self.dim if dim is None else dim
+        if dim == self.dim and not augment:
+            return self.X
         indptr, indices, data = self.X.indptr, self.X.indices, self.X.data
         if dim < self.dim:
             keep = indices < dim
@@ -125,7 +130,7 @@ class Dataset:
             indices = np.insert(indices, indptr[1:], dim)
             data = np.insert(data, indptr[1:], 1.0)
             indptr = indptr + np.arange(len(indptr))
-        return sparse.csr_matrix((data, indices, indptr), copy=True,
+        return sparse.csr_matrix((data, indices, indptr),
                                  shape=(len(self), dim + 1 if augment else dim))
 
 

@@ -679,7 +679,8 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (
-            f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: 'path' must be a string\n")
+            f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: "
+            "'path' must be a non-empty string\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seeds", [["x"], 3, [1.9]])
@@ -710,18 +711,30 @@ class TestExperimentCommand:
                        "test_fraction must be in (0,1), got 2.0\n")
         assert not (out / "results.csv").exists()
 
-    @pytest.mark.parametrize("case", ["path", "test_path", "split"])
+    @pytest.mark.parametrize("case", ["path", "test_path", "split", "empty_path",
+                                      "test_path_int", "empty_test_path", "null_test_path"])
     def test_dataset_failure_writes_nothing(self, two_files, tmp_path, capsys, case):
         absent = str(tmp_path / "absent.libsvm")
+        good = str(two_files[0])
         entry = {"path": {"path": absent},
-                 "test_path": {"path": str(two_files[0]), "test_path": absent},
-                 "split": {"path": str(two_files[0]), "split": 2}}[case]
+                 "test_path": {"path": good, "test_path": absent},
+                 "split": {"path": good, "split": 2},
+                 "empty_path": {"path": ""},
+                 "test_path_int": {"path": good, "test_path": 5},
+                 "empty_test_path": {"path": good, "test_path": ""},
+                 "null_test_path": {"path": good, "test_path": None}}[case]
         manifest = _write_manifest(tmp_path, [entry], [{}], seeds=[0])
         out = tmp_path / "exp"
         rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 2
-        want = "cannot split" if case == "split" else f"dataset file not found: {absent}"
-        assert want in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if case in ("path", "test_path", "split"):
+            want = "cannot split" if case == "split" else f"dataset file not found: {absent}"
+            assert want in err
+        else:
+            key = "path" if case == "empty_path" else "test_path"
+            assert err == (f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: "
+                           f"{key!r} must be a non-empty string\n")
         assert not out.exists()
 
     def test_non_utf8_dataset_is_usage_error_naming_line(self, two_files, tmp_path, capsys):

@@ -369,6 +369,24 @@ class TestLoad:
             f"peak {peak / 1e6:.2f} MB, dataset {current / 1e6:.2f} MB")
 
 
+class TestToMatrix:
+    def test_own_matrix_is_returned_without_a_copy(self):
+        ds = parse_libsvm(dense_text(2000, 50))
+        for kwargs in ({}, {"dim": ds.dim}):
+            X, _, peak = traced_peak(lambda: ds.to_matrix(**kwargs))
+            assert X is ds.X
+            assert peak < 1000, f"peak {peak} B for a {ds.X.data.nbytes / 1e6:.1f} MB matrix"
+
+    def test_augment_peaks_at_about_its_result(self):
+        # the augmented arrays were copied once more when wrapped, which
+        # peaked at ~2.0x the result; wrapped as built, ~1.1x
+        ds = parse_libsvm(dense_text(2000, 50))
+        X, _, peak = traced_peak(lambda: ds.to_matrix(augment=True))
+        size = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        assert X.shape == (2000, 51)
+        assert peak < 1.25 * size, f"peak {peak / 1e6:.2f} MB, result {size / 1e6:.2f} MB"
+
+
 class TestSave:
     def test_peak_is_a_small_part_of_the_file(self, tmp_path):
         # the text of 4,000 x 40 values (3.6 MB) was built in 4,096-row chunks
