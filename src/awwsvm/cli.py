@@ -42,6 +42,24 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def nonempty(value) -> str:
+    """A path or a name the user gives: any string but the empty one."""
+    if not isinstance(value, str) or not value:
+        raise ValueError("must be a non-empty string")
+    return value
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError("must be a JSON list")
+    return value
+
+
+def _from_json(parse):
+    """``parse`` of a manifest value, a non-string one from its JSON text, as a flag's."""
+    return lambda value: parse(value if isinstance(value, str) else json.dumps(value))
+
+
 def _schema_entry(default) -> tuple:
     """(parser, default) of a method key, from its TrainConfig field's default
     (the annotations are strings here); an enum key takes the member's value."""
@@ -58,17 +76,22 @@ FIELDS = {RENAMED.get(f.name, f.name): f for f in fields(TrainConfig)}
 
 # key -> (parser, default); flat schema shared by config files and flags
 CONFIG_SCHEMA: dict[str, tuple] = {
-    "data": (str, None),
-    "test_data": (str, None),
+    "data": (nonempty, None),
+    "test_data": (nonempty, None),
     "split": (float, 0.2),
     **{key: _schema_entry(f.default) for key, f in FIELDS.items()},
-    "out": (str, None),
+    "out": (nonempty, None),
 }
 
-# keys a manifest entry may carry; any other key is an error, as the sweep would ignore it
-METHOD_KEYS = (set(CONFIG_SCHEMA) - {"data", "test_data", "split", "seed", "out"}) | {"preset"}
-DATASET_KEYS = {"name", "path", "test_path", "split"}
-MANIFEST_KEYS = {"datasets", "methods", "seeds", "train"}
+# each kind of manifest entry: key -> parser of its JSON value; any other key is
+# an error, as the sweep would ignore it. "train" is an entry of METHOD_SCHEMA.
+METHOD_SCHEMA = {key: _from_json(CONFIG_SCHEMA[key][0]) for key in FIELDS if key != "seed"
+                 } | {"preset": _from_json(_parse_bool)}
+DATASET_SCHEMA = {"name": nonempty, "path": nonempty, "test_path": nonempty,
+                  "split": _from_json(float)}
+MANIFEST_SCHEMA = {"datasets": _json_list, "methods": _json_list, "train": lambda value: value,
+                   "seeds": lambda value: [TrainConfig(seed=_from_json(int)(seed)).seed
+                                           for seed in _json_list(value)]}
 WEIGHTS_COLUMNS = ["outer_iter", "alpha_min", "alpha_mean", "alpha_max", "n_noise"]
 
 
@@ -176,9 +199,9 @@ def _load_eval(path: str, train_ds: Dataset, train_path: str) -> Dataset:
     return Dataset(X=ds.X, y=y, label_map=dict(train_ds.label_map))
 
 
-def _dataset_name(name, where: str) -> str:
+def _dataset_name(name: str, where: str) -> str:
     """``name`` if it can stand unquoted in a CSV cell, else a usage error."""
-    if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
+    if any(c in name for c in ',"\r\n'):
         raise CliError(f"{where}: dataset name {name!r} must be a string without a comma, "
                        "a double quote or a line break")
     return name
@@ -201,13 +224,13 @@ def cmd_train(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
     flag_values = {k: getattr(args, k) for k in CONFIG_SCHEMA}
     cfg = resolve_config(file_values, flag_values)
-    if not cfg["data"]:
+    if cfg["data"] is None:
         raise CliError("no dataset given: use --data or a config file")
     name = _dataset_name(Path(cfg["data"]).stem, f"--data {cfg['data']}")
     train_cfg = build_train_config(cfg)
 
     ds = _load_dataset(cfg["data"])
-    if cfg["test_data"]:
+    if cfg["test_data"] is not None:
         train_ds, eval_ds = ds, _load_eval(cfg["test_data"], ds, cfg["data"])
     else:
         try:
@@ -236,35 +259,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _coerce(key: str, value):
-    """Cast a JSON manifest value with the parser ``key`` has for flags and
-    config files (``preset`` is a boolean); a non-string value is parsed from
-    its JSON text."""
-    parse = _parse_bool if key == "preset" else CONFIG_SCHEMA[key][0]
-    return parse(value if isinstance(value, str) else json.dumps(value))
-
-
-def _check_keys(entry, allowed: set[str], where: str) -> None:
-    """Reject a manifest key the sweep would otherwise ignore."""
-    if not isinstance(entry, dict):
-        raise CliError(f"{where}: expected a JSON object, got {entry!r}")
-    unknown = sorted(set(entry) - allowed)
+def _entry(raw, schema: dict, where: str, required: tuple = ()) -> tuple[str, dict]:
+    """``where`` and the entry's JSON, and manifest entry ``raw`` parsed by ``schema``:
+    not a JSON object, a key the schema lacks, or a value that does not parse (a
+    missing ``required`` key is null) is a usage error naming the entry."""
+    where = f"{where} {json.dumps(raw, sort_keys=True)}"
+    if not isinstance(raw, dict):
+        raise CliError(f"{where}: expected a JSON object")
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
-        raise CliError(f"{where} {json.dumps(entry, sort_keys=True)}: unknown key(s) "
-                       f"{', '.join(map(repr, unknown))}; allowed: {', '.join(sorted(allowed))}")
-
-
-def _coerce_entry(entry: dict, where: str) -> dict:
-    """``entry`` with each config value cast to its schema type; a value that
-    does not cast is a usage error naming the key and its entry."""
-    coerced = {}
-    for key, value in entry.items():
+        raise CliError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                       f"allowed: {', '.join(sorted(schema))}")
+    values = {}
+    for key, value in {**dict.fromkeys(required), **raw}.items():
         try:
-            coerced[key] = _coerce(key, value) if key in CONFIG_SCHEMA or key == "preset" else value
+            values[key] = schema[key](value)
         except ValueError as exc:
-            raise CliError(f"{where} {json.dumps(entry, sort_keys=True)}: "
-                           f"bad value for {key!r}: {exc}") from None
-    return coerced
+            raise CliError(f"{where}: bad value for {key!r}: {exc}") from None
+    return where, values
 
 
 def _entry_config(values: dict, where: str) -> TrainConfig:
@@ -276,28 +288,17 @@ def _entry_config(values: dict, where: str) -> TrainConfig:
         raise CliError(f"{where}: {exc}") from None
 
 
-def cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        manifest = json.loads(_read_utf8(args.manifest, "manifest"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.manifest}: invalid JSON: {exc}") from None
-    _check_keys(manifest, MANIFEST_KEYS, args.manifest)
-    raw_seeds = manifest.get("seeds", [0])
-    try:  # TrainConfig rejects a negative seed
-        seeds = [TrainConfig(seed=_coerce("seed", seed)).seed for seed in raw_seeds]
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"seeds {json.dumps(raw_seeds)}: {exc}") from None
-    raw_shared = manifest.get("train", {})
-    _check_keys(raw_shared, METHOD_KEYS, "train")
-    shared = _coerce_entry(raw_shared, "train")
-    _entry_config(shared, f"train {json.dumps(raw_shared, sort_keys=True)}")
+def _read_manifest(path: str) -> tuple[dict, list, list, list]:
+    """The manifest at ``path``, its seeds, its (config, preset) methods and its
+    (where, name, entry) datasets, each entry checked against its schema."""
+    manifest = json.loads(_read_utf8(path, "manifest"))
+    top = _entry(manifest, MANIFEST_SCHEMA, path)[1]
+    where, shared = _entry(top.get("train", {}), METHOD_SCHEMA, "train")
+    _entry_config(shared, where)
     methods, named = [], {}
-    for i, entry in enumerate(manifest.get("methods", [])):
-        _check_keys(entry, METHOD_KEYS, f"methods[{i}]")
-        where = f"methods[{i}] {json.dumps(entry, sort_keys=True)}"
-        merged = {**shared, **_coerce_entry(entry, f"methods[{i}]")}
+    for i, raw in enumerate(top.get("methods", [])):
+        where, entry = _entry(raw, METHOD_SCHEMA, f"methods[{i}]")
+        merged = {**shared, **entry}
         cfg = _entry_config(merged, where)
         # results are keyed by method name, so two entries with one name would merge
         taken = named.setdefault(cfg.method_name, where)
@@ -305,17 +306,23 @@ def cmd_experiment(args) -> int:
             raise CliError(f"{where}: method name {cfg.method_name!r} is already taken by {taken}")
         methods.append((cfg, merged.get("preset")))
     dataset_entries, ds_named = [], {}
-    for i, entry in enumerate(manifest.get("datasets", [])):
-        _check_keys(entry, DATASET_KEYS, f"datasets[{i}]")
-        where = f"datasets[{i}] {json.dumps(entry, sort_keys=True)}"
-        for key in ("path", "test_path") if "test_path" in entry else ("path",):
-            if not (isinstance(entry.get(key), str) and entry[key]):
-                raise CliError(f"{where}: {key!r} must be a non-empty string")
-        name = _dataset_name(entry.get("name") or Path(entry["path"]).stem, where)
+    for i, raw in enumerate(top.get("datasets", [])):
+        where, entry = _entry(raw, DATASET_SCHEMA, f"datasets[{i}]", ("path",))
+        name = _dataset_name(entry.get("name", Path(entry["path"]).stem), where)
         taken = ds_named.setdefault(name, where)  # results are keyed by dataset name too
         if taken != where:
             raise CliError(f"{where}: dataset name {name!r} is already taken by {taken}")
-        dataset_entries.append((where, name, _coerce_entry(entry, f"datasets[{i}]")))
+        dataset_entries.append((where, name, entry))
+    return manifest, top.get("seeds", [0]), methods, dataset_entries
+
+
+def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+    try:  # nesting deeper than the decoder or a message's encoder takes is a RecursionError
+        manifest, seeds, methods, dataset_entries = _read_manifest(args.manifest)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CliError(f"{args.manifest}: invalid JSON: {exc}") from None
 
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
@@ -386,6 +393,8 @@ def _print_summary(entries: list[dict]) -> None:
 
 
 def cmd_stats(args) -> int:
+    if not 0 < args.alpha < 1:
+        raise CliError(f"--alpha must lie in (0, 1), got {args.alpha}")
     path = Path(args.results)
     try:  # streamed: the results of a large sweep are not held as one string
         with open(path, newline="", encoding="utf-8") as fh:
@@ -394,6 +403,8 @@ def cmd_stats(args) -> int:
     except (FileNotFoundError, UnicodeDecodeError):
         _read_utf8(path, "results file")  # raises the usage error naming the file
         raise
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        raise CliError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if not finals:
         raise CliError("results contain no 'final' rows")
     metric = args.metric
@@ -495,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--manifest", required=True, help="JSON manifest")
     p_exp.add_argument("--jobs", type=int, default=1, help="must be >= 1; not used yet: cells "
                        "run in order on one thread until worker processes take them")
-    p_exp.add_argument("--out")
+    p_exp.add_argument("--out", type=nonempty)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_stats = sub.add_parser("stats", help="rank statistics over a results CSV")
@@ -504,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--alpha", type=float, default=0.05)
     p_stats.add_argument("--q", type=float, default=None,
                          help="override the critical value q_alpha")
-    p_stats.add_argument("--out")
+    p_stats.add_argument("--out", type=nonempty)
     p_stats.set_defaults(func=cmd_stats)
 
     p_synth = sub.add_parser("synth", help="generate a two-Gaussian dataset")
@@ -513,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--separation", type=float, default=3.0)
     p_synth.add_argument("--flip", type=float, default=0.0)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", required=True)
+    p_synth.add_argument("--out", type=nonempty, required=True)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser

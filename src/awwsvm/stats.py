@@ -61,8 +61,9 @@ def nemenyi_q(k: int, alpha: float = 0.05) -> float:
 
 def nemenyi_cd(k: int, n: int, q_alpha: float) -> float:
     """Critical mean-rank difference q_alpha * sqrt(K(K+1)/(6N))."""
-    if k < 2 or n < 1 or q_alpha <= 0:
-        raise ValueError(f"need K >= 2, N >= 1 and q_alpha > 0, got K={k}, N={n}, q_alpha={q_alpha}")
+    if k < 2 or n < 1 or not 0 < q_alpha < math.inf:
+        raise ValueError(f"need K >= 2, N >= 1 and 0 < q_alpha < inf, "
+                         f"got K={k}, N={n}, q_alpha={q_alpha}")
     return q_alpha * math.sqrt(k * (k + 1) / (6.0 * n))
 
 

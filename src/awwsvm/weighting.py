@@ -36,10 +36,12 @@ def aw_raw(d, sigma: float, spread: float):
     d = np.asarray(d, dtype=np.float64)
     rate = 1.0 / spread
     # overflow to inf is the right limit: d ** 2 = inf (|d| > ~1.3e154) makes the
-    # Gaussian term 0, and a subnormal spread gives an inf weight that clamps to 1.
+    # Gaussian term 0, sigma ** 2 = inf makes its exponential 1 (a float's ** would
+    # raise), and a subnormal spread gives an inf weight that clamps to 1.
     # Such a spread also overflows the reciprocal; dividing avoids inf * 0 = NaN
     with np.errstate(over="ignore"):
-        gauss = 2.0 / (math.sqrt(2.0 * math.pi) * sigma) * np.exp(-(d ** 2) / (2.0 * sigma ** 2))
+        gauss = (2.0 / (math.sqrt(2.0 * math.pi) * sigma)
+                 * np.exp(-(d ** 2) / (2.0 * np.float64(sigma) ** 2)))
         tail = rate * np.exp(-d / spread) if math.isfinite(rate) else np.exp(-d / spread) / spread
     return gauss + tail
 

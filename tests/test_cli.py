@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import awwsvm
-from awwsvm.cli import METHOD_KEYS, build_parser, build_train_config, main, resolve_config
+from awwsvm.cli import METHOD_SCHEMA, build_parser, build_train_config, main, resolve_config
 from awwsvm.data import load_libsvm
 from awwsvm.trainer import TrainConfig
 
@@ -396,7 +396,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("text, message", [
         ("# header\n\noptimizer onaq\n", "3: expected key = value, got 'optimizer onaq'"),
         ("seed = x\n", "1: invalid literal for int() with base 10: 'x'"),
-    ], ids=["no-equals", "bad-value"])
+        ("seed = 1\ntest_data =\n", "2: must be a non-empty string"),
+        ("data = \n", "1: must be a non-empty string"),
+        ("out =\n", "1: must be a non-empty string"),
+    ], ids=["no-equals", "bad-value", "empty-test-data", "empty-data", "empty-out"])
     def test_bad_config_line_is_usage_error_naming_it(self, synth_file, tmp_path, capsys,
                                                       text, message):
         cfg = tmp_path / "bad.cfg"
@@ -406,6 +409,27 @@ class TestTrainCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
         assert not out.exists()
+
+    # an empty --test-data once split the set instead, and an empty --out was the default
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--data", ""], "--data"),
+        (["train", "--data", "toy.libsvm", "--test-data", ""], "--test-data"),
+        (["train", "--data", "toy.libsvm", "--out", ""], "--out"),
+        (["experiment", "--manifest", "m.json", "--out", ""], "--out"),
+        (["stats", "--results", "results.csv", "--out", ""], "--out"),
+        (["synth", "--n-pos", "5", "--n-neg", "5", "--out", ""], "--out"),
+    ])
+    def test_empty_path_flag_is_usage_error(self, synth_file, tmp_path, capsys, monkeypatch,
+                                            argv, flag):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("AWWSVM_OUT", raising=False)
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"awwsvm {argv[0]}: error: argument {flag}: invalid nonempty value: ''")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_no_dataset_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -436,9 +460,9 @@ class TestTrainCommand:
 
 def test_cli_defaults_are_train_config_defaults():
     assert build_train_config(resolve_config({}, {})) == TrainConfig()
-    assert METHOD_KEYS == {"optimizer", "adaptive", "weight_mode", "noise_mode", "sigma", "c",
-                           "alpha0", "tau", "mu", "lambda", "eps_h", "outer_iters",
-                           "inner_iters", "batch_size", "preset"}
+    assert set(METHOD_SCHEMA) == {"optimizer", "adaptive", "weight_mode", "noise_mode", "sigma",
+                                  "c", "alpha0", "tau", "mu", "lambda", "eps_h", "outer_iters",
+                                  "inner_iters", "batch_size", "preset"}
 
 
 def _write_manifest(tmp_path, datasets, methods, seeds):
@@ -490,6 +514,49 @@ class TestExperimentCommand:
         assert text.splitlines() == ["dataset,method,seed,outer_iter,accuracy,precision,"
                                      "recall,specificity,f1,gmean,train_loss,n_noise"]
 
+    # a section that is not a list once ran nothing, as [] does, or raised TypeError
+    @pytest.mark.parametrize("key", ["datasets", "methods", "seeds"])
+    @pytest.mark.parametrize("value", ["", {}, None, 5, True])
+    def test_section_that_is_not_a_list_is_usage_error(self, two_files, tmp_path, capsys,
+                                                       key, value):
+        manifest = {"datasets": [{"path": str(two_files[0])}], "methods": [{}], "seeds": [0],
+                    key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "exp"
+        assert main(["experiment", "--manifest", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} {json.dumps(manifest, sort_keys=True)}: "
+            f"bad value for {key!r}: must be a JSON list\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", [], None, 5])
+    def test_train_that_is_not_an_object_is_usage_error(self, two_files, tmp_path, capsys,
+                                                        value):
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], [{}], seeds=[0])
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "train": value}))
+        out = tmp_path / "exp"
+        assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: train {json.dumps(value)}: expected a JSON object\n")
+        assert not out.exists()
+
+    # nesting past the decoder's limit, or just under it, where encoding an
+    # entry for its message goes deeper still, is one error line naming the file
+    @pytest.mark.parametrize("shape", ["{}", '{{"train": {{"c": {}}}}}', '{{"seeds": [{}]}}',
+                                       '{{"datasets": [{{"path": {}}}]}}'])
+    def test_deep_nesting_is_usage_error(self, tmp_path, capsys, shape):
+        manifest, out = tmp_path / "deep.json", tmp_path / "exp"
+        limit = sys.getrecursionlimit()
+        for depth in [*range(limit - 100, limit + 10), 100_000]:
+            manifest.write_text(shape.format("[" * depth + "]" * depth))
+            assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+        assert err == (f"error: {manifest}: invalid JSON: maximum recursion depth exceeded "
+                       "while decoding a JSON array from a unicode string\n")
+
     def test_rerun_identical_bytes(self, two_files, tmp_path):
         manifest = _write_manifest(
             tmp_path,
@@ -518,7 +585,7 @@ class TestExperimentCommand:
         manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], ["sgd"], seeds=[0])
         out = tmp_path / "exp"
         assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: methods[0]: expected a JSON object, got 'sgd'\n"
+        assert capsys.readouterr().err == 'error: methods[0] "sgd": expected a JSON object\n'
         assert not out.exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
@@ -654,7 +721,7 @@ class TestExperimentCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("name, stem", [
-        ("a,b", "ds0"), ('a"b', "ds0"), ("a\nb", "ds0"), ("a\rb", "ds0"), (None, "x,y"), (7, "ds0"),
+        ("a,b", "ds0"), ('a"b', "ds0"), ("a\nb", "ds0"), ("a\rb", "ds0"), (None, "x,y"),
     ])
     def test_dataset_name_unfit_for_csv_is_usage_error(self, two_files, tmp_path, capsys,
                                                        name, stem):
@@ -672,6 +739,19 @@ class TestExperimentCommand:
             "must be a string without a comma, a double quote or a line break\n")
         assert not out.exists()
 
+    # a name that is not a non-empty string once fell back to the file's stem
+    @pytest.mark.parametrize("name", ["", None, False, 0, [], {}, 7])
+    def test_dataset_name_not_a_non_empty_string_is_usage_error(self, two_files, tmp_path,
+                                                               capsys, name):
+        entry = {"name": name, "path": str(two_files[0])}
+        manifest = _write_manifest(tmp_path, [entry], [{}], seeds=[0])
+        out = tmp_path / "exp"
+        assert main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: "
+            "bad value for 'name': must be a non-empty string\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", [{"name": "a"}, {"path": 5}])
     def test_dataset_path_not_a_string_is_usage_error(self, tmp_path, capsys, entry):
         manifest = _write_manifest(tmp_path, [entry], [{}], seeds=[0])
@@ -680,24 +760,30 @@ class TestExperimentCommand:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: "
-            "'path' must be a non-empty string\n")
+            "bad value for 'path': must be a non-empty string\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("seeds", [["x"], 3, [1.9]])
+    # a string is not a list of seeds: "12" once ran seeds 1 and 2
+    @pytest.mark.parametrize("seeds", [["x"], 3, [1.9], "12", "", {}, None])
     def test_bad_seeds_are_usage_error(self, two_files, tmp_path, capsys, seeds):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"datasets": [{"path": str(two_files[0])}],
-                                    "methods": [{}], "seeds": seeds}))
-        rc = main(["experiment", "--manifest", str(path), "--out", str(tmp_path / "exp")])
+        manifest = {"datasets": [{"path": str(two_files[0])}], "methods": [{}], "seeds": seeds}
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(path), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: seeds {json.dumps(seeds)}: ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {path} {json.dumps(manifest, sort_keys=True)}: bad value for 'seeds': ")
+        assert not out.exists()
 
     def test_negative_seed_is_usage_error(self, two_files, tmp_path, capsys):
         manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], [{}], seeds=[0, -1])
         out = tmp_path / "exp"
         rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == "error: seeds [0, -1]: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == (
+            f"error: {manifest} {json.dumps(json.loads(manifest.read_text()), sort_keys=True)}: "
+            "bad value for 'seeds': seed must be >= 0, got -1\n")
         assert not out.exists()
 
     def test_bad_split_is_usage_error(self, two_files, tmp_path, capsys):
@@ -734,7 +820,7 @@ class TestExperimentCommand:
         else:
             key = "path" if case == "empty_path" else "test_path"
             assert err == (f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: "
-                           f"{key!r} must be a non-empty string\n")
+                           f"bad value for {key!r}: must be a non-empty string\n")
         assert not out.exists()
 
     def test_non_utf8_dataset_is_usage_error_naming_line(self, two_files, tmp_path, capsys):
@@ -1071,7 +1157,8 @@ class TestStatsCommand:
     @pytest.mark.parametrize("edit, flags, message", [
         (None, ["--alpha", "0.1"], "built-in critical values cover alpha = 0.05 only; "
          "give a positive critical value with --q"),
-        (None, ["--q", "0"], "need K >= 2, N >= 1 and q_alpha > 0, got K=3, N=3, q_alpha=0.0"),
+        (None, ["--q", "0"], "need K >= 2, N >= 1 and 0 < q_alpha < inf, "
+         "got K=3, N=3, q_alpha=0.0"),
         (None, ["--q", "-1"], "got K=3, N=3, q_alpha=-1.0"),
         (_eleven_methods, [], "no critical value for K=11; supported K: 2..10"),
         (lambda ls: ls[:2] + [ls[2].replace("0.860000", "nan")] + ls[3:], [],
@@ -1093,6 +1180,31 @@ class TestStatsCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    # --q nan and --q inf once gave a CD of nan or inf with exit 0
+    @pytest.mark.parametrize("flags, message", [
+        (["--q", "nan"], "need K >= 2, N >= 1 and 0 < q_alpha < inf, got K=3, N=3, "
+         "q_alpha=nan; give a positive critical value with --q"),
+        (["--q", "inf"], "need K >= 2, N >= 1 and 0 < q_alpha < inf, got K=3, N=3, "
+         "q_alpha=inf; give a positive critical value with --q"),
+        *[(["--alpha", alpha, "--q", "2.0"], f"--alpha must lie in (0, 1), got {float(alpha)}")
+          for alpha in ("0", "1", "-0.5", "nan", "inf")],
+    ], ids=["q-nan", "q-inf", "alpha-0", "alpha-1", "alpha-negative", "alpha-nan", "alpha-inf"])
+    def test_bad_q_or_alpha_is_usage_error(self, results_csv, tmp_path, capsys, flags, message):
+        out = tmp_path / "stats"
+        assert main(["stats", "--results", str(results_csv), *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_field_over_the_csv_limit_is_usage_error(self, results_csv, tmp_path, capsys):
+        lines = results_csv.read_text().splitlines()
+        lines[2] = "d" * 200_000 + lines[2][2:]
+        results_csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "stats"
+        assert main(["stats", "--results", str(results_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {results_csv}:3: field larger than field limit (131072)\n")
         assert not out.exists()
 
     # the file is read in pieces; 1,000 rows ahead put the byte past the first one

@@ -200,6 +200,13 @@ class TestNemenyi:
         with pytest.raises(ValueError):
             nemenyi_cd(1, 10, 2.0)
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan, math.inf])
+    def test_q_alpha_must_be_finite_and_positive(self, q):
+        with pytest.raises(ValueError) as exc:
+            nemenyi_cd(3, 4, q)
+        assert str(exc.value) == ("need K >= 2, N >= 1 and 0 < q_alpha < inf, "
+                                  f"got K=3, N=4, q_alpha={q}")
+
 
 class TestPairwiseSignificance:
     def test_boundary_is_not_significant(self):

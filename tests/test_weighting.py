@@ -124,6 +124,12 @@ class TestUpdateWeights:
         assert np.all((alpha >= 0.0) & (alpha <= 1.0))
         assert np.all(alpha[~active] == 0.0)
 
+    def test_sigma_whose_square_overflows_gives_the_gaussian_limit(self):
+        # sigma ** 2 is inf, so the exponential reads 1; a float's ** raised OverflowError
+        d = np.array([0.0, 1.0])
+        np.testing.assert_array_equal(aw_raw(d, 1e300, 1.0),
+                                      2.0 / (math.sqrt(2.0 * math.pi) * 1e300) + np.exp(-d))
+
     @pytest.mark.parametrize("d", [[1e-310, 1e-310 + 5e-324], [1e-300, 1e-300 * (1 + 2**-52)],
                                    [0.0, 2.2250738585072014e-309]])
     def test_subnormal_spread_gives_unit_interval_weights(self, d):
