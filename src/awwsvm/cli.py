@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, ParseError, load_libsvm, save_libsvm, split, synth_two_gaussians)
+from .data import (Dataset, ParseError, check_fraction, load_libsvm, save_libsvm, split,
+                   synth_two_gaussians)
 from .metrics import confusion, report
 from .model import save_model
 from .stats import friedman, nemenyi_cd, nemenyi_q, pairwise_significance, rank_rows
@@ -108,9 +109,11 @@ def _read_utf8(path, what: str) -> str:
         raise CliError(f"{path}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8") from None
 
 
-def read_config_file(path: str) -> dict:
-    """Flat ``key = value`` file; '#' comments and blank lines are ignored."""
-    values: dict = {}
+def read_config_file(path: str, overridden: set) -> dict:
+    """Flat ``key = value`` file; '#' comments and blank lines are ignored. A
+    value ``TrainConfig`` or ``split`` refuses is an error at its line, unless
+    its key is in ``overridden`` (the flags given)."""
+    values, lines = {}, {}
     text = _read_utf8(path, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -126,6 +129,15 @@ def read_config_file(path: str) -> dict:
         try:
             values[key] = parse(raw.strip())
         except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from None
+        lines[key] = lineno
+    for key, lineno in lines.items():
+        try:  # each TrainConfig check reads one field, so each is checked alone
+            if key in FIELDS and key not in overridden:
+                build_train_config(resolve_config({key: values[key]}, {}))
+            elif key == "split" and key not in overridden:
+                check_fraction(values[key])
+        except (CliError, ValueError) as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from None
     return values
 
@@ -221,8 +233,9 @@ def _print_report(rep, cm, verbose: bool) -> None:
 
 
 def cmd_train(args) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
     flag_values = {k: getattr(args, k) for k in CONFIG_SCHEMA}
+    flags = {k for k, v in flag_values.items() if v is not None}
+    file_values = read_config_file(args.config, flags) if args.config else {}
     cfg = resolve_config(file_values, flag_values)
     if cfg["data"] is None:
         raise CliError("no dataset given: use --data or a config file")
@@ -327,8 +340,11 @@ def cmd_experiment(args) -> int:
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
     for where, name, entry in dataset_entries:
-        ds = _load_dataset(entry["path"])
-        test = _load_eval(entry["test_path"], ds, entry["path"]) if "test_path" in entry else None
+        try:
+            ds = _load_dataset(entry["path"])
+            test = _load_eval(entry["test_path"], ds, entry["path"]) if "test_path" in entry else None
+        except CliError as exc:
+            raise CliError(f"{where}: {exc}") from None
         configs = [preset_config(name, cfg)
                    if preset and name.lower() in PRESETS else cfg for cfg, preset in methods]
         datasets.append((where, name, ds, test, entry.get("split", CONFIG_SCHEMA["split"][1]),

@@ -380,6 +380,11 @@ def save_libsvm(ds: Dataset, path: str) -> None:
         fh.writelines(_libsvm_chunks(ds))
 
 
+def check_fraction(test_fraction: float) -> None:
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
+
+
 def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified train/test split, deterministic under ``seed``.
 
@@ -387,8 +392,7 @@ def split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Datase
     side keeps at least one sample per class). Returns (train, test); both
     inherit the parent dim and label map, and preserve original sample order.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0,1), got {test_fraction}")
+    check_fraction(test_fraction)
     if ds.n_pos < 2 or ds.n_neg < 2:
         raise ValueError("split requires at least 2 samples per class")
     rng = np.random.default_rng(seed)

@@ -1,15 +1,16 @@
-"""Training orchestration: alternate optimizer phases with distance
-computation, noise elimination, and weight refresh; plus the multi-run
-experiment sweep and its CSV schema.
+"""Training orchestration: one reweighting loop around an inner solve, plus
+the multi-run experiment sweep and its CSV schema.
 
 A run starts from w = 0 with uniform weights 2/l and loops ``outer_iters``
-times: (a) ``inner_iters`` optimizer steps over minibatches of the active
-samples with the current weights, (b) one score per training sample, giving
-the round's objective and, when adaptive, the signed distances, (c) when
-adaptive, wrong-side noise elimination (permanent for the run), and (d) when
-adaptive, a weight refresh from the distances. Optimizer state
-(step counter, velocity, inverse-Hessian approximation) persists across outer
-iterations. With ``adaptive=False`` the weights never move and the run is
+times: (a) the inner phase ``inner(w, alpha, active) -> w``, called once per
+round, solves with the current weights over the active samples and must not
+mutate ``alpha`` or ``active``, (b) one score per training sample gives the
+round's objective and, when adaptive, the signed distances, (c) when adaptive,
+wrong-side noise elimination (permanent for the run), and (d) when adaptive, a
+weight refresh from the distances. The default phase, ``stochastic_phase``,
+takes ``inner_iters`` optimizer steps and owns the minibatch sampler, the step
+counter and the quasi-Newton state (velocity, inverse Hessian), all kept across
+rounds. With ``adaptive=False`` the weights never move and the run is
 bit-for-bit the bare optimizer under the same seed.
 """
 
@@ -115,10 +116,43 @@ METRIC_COLUMNS = ["accuracy", "precision", "recall", "specificity", "f1", "gmean
 SUMMARY_COLUMNS = ["dataset", "method", "n_seeds", *METRIC_COLUMNS]
 
 
-def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[LinearModel, list[dict]]:
+def stochastic_phase(X, y: np.ndarray, cfg: TrainConfig):
+    """The default inner phase: ``cfg.inner_iters`` steps of ``cfg.optimizer``
+    per round over minibatches of the active rows of the augmented ``X``."""
+    n, d_aug = X.shape
+    sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
+    qn = None
+    if cfg.optimizer is not Optimizer.SGD:
+        try:
+            qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h)
+        except MemoryError as exc:
+            raise TrainingError(f"augmented dimension {d_aug}: {exc}; "
+                                "the sgd optimizer keeps no d x d state") from exc
+    k = 0  # steps taken, over all outer rounds
+
+    def inner(w: np.ndarray, alpha: np.ndarray, active: np.ndarray) -> np.ndarray:
+        nonlocal k
+        if not active.all():  # drop is idempotent, and no batch was drawn since the flags
+            sampler.drop(np.flatnonzero(~active))
+        for _ in range(cfg.inner_iters):
+            k += 1
+            bidx = sampler.next_batch()
+            Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], alpha[bidx]
+            if cfg.optimizer is Optimizer.SGD:
+                w = sgd_step(w, Xb, yb, ab, cfg, cfg.rate(k))
+            elif cfg.optimizer is Optimizer.OBFGS:
+                w = obfgs_step(w, qn, Xb, yb, ab, cfg, cfg.rate(k))
+            else:
+                w = onaq_step(w, qn, Xb, yb, ab, cfg, cfg.rate(k))
+        return w
+    return inner
+
+
+def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig, inner=None) -> tuple[LinearModel, list[dict]]:
     """Run the full training loop; deterministic under ``cfg.seed``. Returns the
     final model and one row per outer round: ``outer_iter``, ``METRIC_COLUMNS`` on
     ``eval_ds``, ``train_loss``, ``n_noise`` and the active ``alpha_{min,mean,max}``.
+    ``inner`` is each round's solve (module docstring), ``stochastic_phase`` by default.
 
     Warnings raised inside pass the active filters (``error`` still raises) and
     are held back: dropped if the run raises, as its error names the cause, and
@@ -127,37 +161,19 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
     with warnings.catch_warnings(record=True) as caught:
         if train_ds.n_pos == 0 or train_ds.n_neg == 0:
             raise TrainingError("training set must contain both classes")
-        X = train_ds.to_matrix(augment=True)
         y = train_ds.labels()
+        if inner is None:
+            inner = stochastic_phase(train_ds.to_matrix(augment=True), y, cfg)
         X_eval = eval_ds.to_matrix(dim=train_ds.dim)
         y_eval = eval_ds.labels()
-        n, d_aug = X.shape
 
-        w = np.zeros(d_aug)
-        alpha = init_weights(n)
-        active = np.ones(n, dtype=bool)  # False once flagged as noise, for the rest of the run
-        sampler = MinibatchSampler(n, cfg.batch_size, cfg.seed)
-        qn = None
-        if cfg.optimizer is not Optimizer.SGD:
-            try:
-                qn = QuasiNewtonState.initial(d_aug, eps_h=cfg.eps_h)
-            except MemoryError as exc:
-                raise TrainingError(f"augmented dimension {d_aug}: {exc}; "
-                                    "the sgd optimizer keeps no d x d state") from exc
-        k = 0  # steps taken, over all outer rounds
+        w = np.zeros(train_ds.dim + 1)
+        alpha = init_weights(len(y))
+        active = np.ones(len(y), dtype=bool)  # False once flagged as noise, for the rest of the run
 
         rounds = []
         for outer in range(1, cfg.outer_iters + 1):
-            for _ in range(cfg.inner_iters):
-                k += 1
-                bidx = sampler.next_batch()
-                Xb, yb, ab = RowBatch.gather(X, bidx), y[bidx], alpha[bidx]
-                if cfg.optimizer is Optimizer.SGD:
-                    w = sgd_step(w, Xb, yb, ab, cfg, cfg.rate(k))
-                elif cfg.optimizer is Optimizer.OBFGS:
-                    w = obfgs_step(w, qn, Xb, yb, ab, cfg, cfg.rate(k))
-                else:
-                    w = onaq_step(w, qn, Xb, yb, ab, cfg, cfg.rate(k))
+            w = inner(w, alpha, active)
             if not np.isfinite(w).all():
                 raise TrainingError(f"weights diverged to a non-finite value in outer round {outer}")
 
@@ -178,7 +194,6 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> tuple[Linear
                             if not np.any(active & (y == cls)):
                                 raise TrainingError(
                                     f"noise elimination removed every class {cls:+d} sample")
-                        sampler.drop(flagged)
                     alpha = update_weights(dist, active, cfg.sigma)
                 # a zero geometric norm leaves distances undefined; keep the
                 # current weights and mask for this round

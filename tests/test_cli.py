@@ -241,8 +241,45 @@ class TestTrainCommand:
         out = tmp_path / "run"
         rc = main(["train", "--config", str(cfg), "--data", str(synth_file), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("outer_iters = 2\nsigma = 0\n", "2: sigma must be positive"),
+        ("c = nan\n", "1: C must be positive, got nan"),
+        ("seed = -1\n", "1: seed must be >= 0, got -1"),
+        ("tau = 0\n", "1: alpha0 must be nonnegative and tau positive, got alpha0=1.0, tau=0.0"),
+        ("split = 1.5\n", "1: test_fraction must be in (0,1), got 1.5"),
+        # the value in force counts: a later line overrides an earlier one
+        ("sigma = 1\nsigma = inf\n", "2: sigma must be finite, got inf"),
+        # two bad values: the first line wins
+        ("batch_size = 0\nc = 0\n", "1: batch_size must be >= 1, got 0"),
+    ], ids=["sigma", "c", "seed", "tau", "split", "later_line", "first_of_two"])
+    def test_bad_value_in_config_file_names_its_line(self, synth_file, tmp_path, capsys,
+                                                     text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(synth_file), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, flags", [
+        ("sigma = 0\n", ["--sigma", "2"]),
+        ("weight_mode = zz\nbatch_size = 0\n", ["--weight-mode", "hinge", "--batch-size", "8"]),
+        ("sigma = 1\nsigma = 0\n", ["--sigma", "2"]),
+        ("split = 0\n", ["--split", "0.3"]),
+    ], ids=["sigma", "enum_and_batch_size", "later_line", "split"])
+    def test_bad_config_file_value_a_flag_overrides_is_accepted(self, synth_file, tmp_path,
+                                                                text, flags):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(text + "outer_iters = 1\ninner_iters = 2\nalpha0 = 0.1\n")
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(synth_file), *flags,
+                   "--out", str(out)])
+        assert rc == 0
+        assert (out / "model.txt").exists()
 
     def test_flags_override_config_file(self, synth_file, tmp_path, capsys):
         cfg = tmp_path / "base.cfg"
@@ -814,13 +851,14 @@ class TestExperimentCommand:
         rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        if case in ("path", "test_path", "split"):
-            want = "cannot split" if case == "split" else f"dataset file not found: {absent}"
-            assert want in err
+        where = f"datasets[0] {json.dumps(entry, sort_keys=True)}"
+        if case in ("path", "test_path"):
+            assert err == f"error: {where}: dataset file not found: {absent}\n"
+        elif case == "split":
+            assert "cannot split" in err
         else:
             key = "path" if case == "empty_path" else "test_path"
-            assert err == (f"error: datasets[0] {json.dumps(entry, sort_keys=True)}: "
-                           f"bad value for {key!r}: must be a non-empty string\n")
+            assert err == f"error: {where}: bad value for {key!r}: must be a non-empty string\n"
         assert not out.exists()
 
     def test_non_utf8_dataset_is_usage_error_naming_line(self, two_files, tmp_path, capsys):
@@ -831,7 +869,8 @@ class TestExperimentCommand:
         out = tmp_path / "exp"
         rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xc3 is not UTF-8\n"
+        assert capsys.readouterr().err == (f"error: datasets[1] {json.dumps({'path': str(bad)})}: "
+                                           f"{bad}: line 3: byte 0xc3 is not UTF-8\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["stem", "name"])
@@ -1018,15 +1057,17 @@ class TestEvalLabels:
         # -1 is not a label of a file labeled 1/2
         train, test = one_class_test_files["12"][0], one_class_test_files["pm"][1]
         out = tmp_path / "out"
+        where = ""
         if command == "train":
             argv = ["train", "--data", str(train), "--test-data", str(test)]
         else:
-            manifest = _write_manifest(tmp_path, [{"path": str(train), "test_path": str(test)}],
-                                       [{}], seeds=[0])
+            entry = {"path": str(train), "test_path": str(test)}
+            manifest = _write_manifest(tmp_path, [entry], [{}], seeds=[0])
             argv = ["experiment", "--manifest", str(manifest)]
+            where = f"datasets[0] {json.dumps(entry, sort_keys=True)}: "
         assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", f"error: {test}: label -1 does not occur in the "
-                                           f"training file {train} (labels [1, 2])\n")
+        assert capsys.readouterr() == ("", f"error: {where}{test}: label -1 does not occur in "
+                                           f"the training file {train} (labels [1, 2])\n")
         assert not out.exists()
 
 
