@@ -10,8 +10,9 @@ directory comes from ``--out`` or the ``AWWSVM_OUT`` environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 import json
 import os
@@ -96,6 +97,23 @@ MANIFEST_SCHEMA = {"datasets": _json_list, "methods": _json_list, "train": lambd
 WEIGHTS_COLUMNS = ["outer_iter", "alpha_min", "alpha_mean", "alpha_max", "n_noise"]
 
 
+def _reason(exc: Exception) -> str:
+    """``<filename>: <strerror>`` of an OSError, ``str(exc)`` of any other error."""
+    if isinstance(exc, OSError):
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        return f"{where}{exc.strerror or exc}"
+    return str(exc)
+
+
+@contextlib.contextmanager
+def _usage_error(where: str, *errors: type[Exception]):
+    """Re-raise any of ``errors`` as the usage error ``<where>: <reason>``."""
+    try:
+        yield
+    except errors as exc:
+        raise CliError(f"{where}: {_reason(exc)}") from None
+
+
 def _read_utf8(path, what: str) -> str:
     """The text of the ``what`` file at ``path``, line breaks untranslated; a missing
     file or a byte that is not UTF-8 is a usage error naming the file (and line)."""
@@ -125,20 +143,15 @@ def read_config_file(path: str, overridden: set) -> dict:
         key = key.strip()
         if key not in CONFIG_SCHEMA:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        parse = CONFIG_SCHEMA[key][0]
-        try:
-            values[key] = parse(raw.strip())
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from None
+        with _usage_error(f"{path}:{lineno}", ValueError):
+            values[key] = CONFIG_SCHEMA[key][0](raw.strip())
         lines[key] = lineno
-    for key, lineno in lines.items():
-        try:  # each TrainConfig check reads one field, so each is checked alone
+    for key, lineno in lines.items():  # each TrainConfig check reads one field: check each alone
+        with _usage_error(f"{path}:{lineno}", CliError, ValueError):
             if key in FIELDS and key not in overridden:
                 build_train_config(resolve_config({key: values[key]}, {}))
             elif key == "split" and key not in overridden:
                 check_fraction(values[key])
-        except (CliError, ValueError) as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -191,10 +204,8 @@ def _out_dir(cfg_out, default: str) -> Path:
 def _load_dataset(path: str):
     if not Path(path).exists():
         raise CliError(f"dataset file not found: {path}")
-    try:
+    with _usage_error(path, ParseError):
         return load_libsvm(path)
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from None
 
 
 def _load_eval(path: str, train_ds: Dataset, train_path: str) -> Dataset:
@@ -246,19 +257,15 @@ def cmd_train(args) -> int:
     if cfg["test_data"] is not None:
         train_ds, eval_ds = ds, _load_eval(cfg["test_data"], ds, cfg["data"])
     else:
-        try:
+        with _usage_error(f"cannot split {cfg['data']}", ValueError):
             train_ds, eval_ds = split(ds, cfg["split"], cfg["seed"])
-        except ValueError as exc:
-            raise CliError(f"cannot split {cfg['data']}: {exc}") from None
     del ds  # split copied its rows; with --test-data the full set is train_ds
 
     out = _out_dir(cfg["out"], "awwsvm-run")
     (out / "resolved.cfg").write_text(format_config(cfg), encoding="utf-8")
 
-    try:
+    with _usage_error("training aborted", TrainingError):
         model, rounds = train(train_ds, eval_ds, train_cfg)
-    except TrainingError as exc:
-        raise CliError(f"training aborted: {exc}") from None
 
     save_model(model, str(out / "model.txt"))
     rows = history_rows(name, train_cfg, rounds)
@@ -285,20 +292,9 @@ def _entry(raw, schema: dict, where: str, required: tuple = ()) -> tuple[str, di
                        f"allowed: {', '.join(sorted(schema))}")
     values = {}
     for key, value in {**dict.fromkeys(required), **raw}.items():
-        try:
+        with _usage_error(f"{where}: bad value for {key!r}", ValueError):
             values[key] = schema[key](value)
-        except ValueError as exc:
-            raise CliError(f"{where}: bad value for {key!r}: {exc}") from None
     return where, values
-
-
-def _entry_config(values: dict, where: str) -> TrainConfig:
-    """The TrainConfig of manifest ``values`` over the defaults; a value that
-    fails validation is a usage error naming its entry."""
-    try:
-        return build_train_config(resolve_config(values, {}))
-    except CliError as exc:
-        raise CliError(f"{where}: {exc}") from None
 
 
 def _read_manifest(path: str) -> tuple[dict, list, list, list]:
@@ -307,12 +303,14 @@ def _read_manifest(path: str) -> tuple[dict, list, list, list]:
     manifest = json.loads(_read_utf8(path, "manifest"))
     top = _entry(manifest, MANIFEST_SCHEMA, path)[1]
     where, shared = _entry(top.get("train", {}), METHOD_SCHEMA, "train")
-    _entry_config(shared, where)
+    with _usage_error(where, CliError):
+        build_train_config(resolve_config(shared, {}))
     methods, named = [], {}
     for i, raw in enumerate(top.get("methods", [])):
         where, entry = _entry(raw, METHOD_SCHEMA, f"methods[{i}]")
         merged = {**shared, **entry}
-        cfg = _entry_config(merged, where)
+        with _usage_error(where, CliError):
+            cfg = build_train_config(resolve_config(merged, {}))
         # results are keyed by method name, so two entries with one name would merge
         taken = named.setdefault(cfg.method_name, where)
         if taken != where:
@@ -332,19 +330,16 @@ def _read_manifest(path: str) -> tuple[dict, list, list, list]:
 def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    try:  # nesting deeper than the decoder or a message's encoder takes is a RecursionError
+    # nesting deeper than the decoder or a message's encoder takes is a RecursionError
+    with _usage_error(f"{args.manifest}: invalid JSON", json.JSONDecodeError, RecursionError):
         manifest, seeds, methods, dataset_entries = _read_manifest(args.manifest)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError(f"{args.manifest}: invalid JSON: {exc}") from None
 
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
     for where, name, entry in dataset_entries:
-        try:
+        with _usage_error(where, CliError, OSError):  # OSError: a directory, say
             ds = _load_dataset(entry["path"])
             test = _load_eval(entry["test_path"], ds, entry["path"]) if "test_path" in entry else None
-        except CliError as exc:
-            raise CliError(f"{where}: {exc}") from None
         configs = [preset_config(name, cfg)
                    if preset and name.lower() in PRESETS else cfg for cfg, preset in methods]
         datasets.append((where, name, ds, test, entry.get("split", CONFIG_SCHEMA["split"][1]),
@@ -352,11 +347,9 @@ def cmd_experiment(args) -> int:
     cells = []
     for seed in seeds:
         for where, name, ds, test, frac, configs in datasets:
-            try:
+            with _usage_error(f"{where}: cannot split", ValueError):
                 tr, ev = (ds, test) if test is not None else split(ds, frac, seed)
-            except ValueError as exc:
-                raise CliError(f"{where}: cannot split: {exc}") from None
-            cells.extend((name, tr, ev, cfg, seed) for cfg in configs)
+            cells.extend((name, tr, ev, replace(cfg, seed=seed)) for cfg in configs)
 
     # written only once every dataset has loaded and split
     out = _out_dir(args.out, "awwsvm-experiment")
@@ -555,8 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a path the command cannot open or create
-        where = "" if exc.filename is None else f"{exc.filename}: "
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
 
 

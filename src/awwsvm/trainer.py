@@ -16,7 +16,7 @@ bit-for-bit the bare optimizer under the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 import io
 import math
@@ -251,25 +251,24 @@ def history_rows(name: str, cfg: TrainConfig, rounds: list[dict]) -> list[dict]:
     return [{"dataset": name, "method": cfg.method_name, "seed": cfg.seed, **r} for r in rounds]
 
 
-def run_cell(name: str, train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig, seed: int) -> list[dict]:
+def run_cell(name: str, train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig) -> list[dict]:
     """All result rows (per-iteration plus final) for one sweep cell."""
-    cell_cfg = replace(cfg, seed=seed)
-    _, rounds = train(train_ds, eval_ds, cell_cfg)
-    rows = history_rows(name, cell_cfg, rounds)
+    _, rounds = train(train_ds, eval_ds, cfg)
+    rows = history_rows(name, cfg, rounds)
     return rows + [{**rows[-1], "outer_iter": "final"}]
 
 
-def run_experiment(cells: list[tuple[str, Dataset, Dataset, TrainConfig, int]]
+def run_experiment(cells: list[tuple[str, Dataset, Dataset, TrainConfig]]
                    ) -> tuple[list[dict], list[dict]]:
-    """Run each ``(name, train_ds, eval_ds, cfg, seed)`` cell in order on the
-    calling thread; returns the result rows in cell order, and one ``dataset,
-    method, seed, error`` dict per failed cell. A cell's failure does not abort
-    the sweep."""
+    """Run each ``(name, train_ds, eval_ds, cfg)`` cell, seeded by ``cfg.seed``,
+    in order on the calling thread; returns the result rows in cell order, and
+    one ``dataset, method, seed, error`` dict per failed cell. A cell's failure
+    does not abort the sweep."""
     rows, failures = [], []
-    for name, tr, ev, cfg, seed in cells:
+    for name, tr, ev, cfg in cells:
         try:
-            rows.extend(run_cell(name, tr, ev, cfg, seed))
+            rows.extend(run_cell(name, tr, ev, cfg))
         except Exception as exc:  # noqa: BLE001 - sweep must survive any cell
-            failures.append({"dataset": name, "method": cfg.method_name, "seed": seed,
+            failures.append({"dataset": name, "method": cfg.method_name, "seed": cfg.seed,
                              "error": str(exc)})
     return rows, failures

@@ -835,12 +835,17 @@ class TestExperimentCommand:
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("case", ["path", "test_path", "split", "empty_path",
-                                      "test_path_int", "empty_test_path", "null_test_path"])
+                                      "test_path_int", "empty_test_path", "null_test_path",
+                                      "path_dir", "test_path_dir"])
     def test_dataset_failure_writes_nothing(self, two_files, tmp_path, capsys, case):
         absent = str(tmp_path / "absent.libsvm")
         good = str(two_files[0])
+        adir = tmp_path / "adir"
+        adir.mkdir()
         entry = {"path": {"path": absent},
                  "test_path": {"path": good, "test_path": absent},
+                 "path_dir": {"path": str(adir)},
+                 "test_path_dir": {"path": good, "test_path": str(adir)},
                  "split": {"path": good, "split": 2},
                  "empty_path": {"path": ""},
                  "test_path_int": {"path": good, "test_path": 5},
@@ -854,6 +859,8 @@ class TestExperimentCommand:
         where = f"datasets[0] {json.dumps(entry, sort_keys=True)}"
         if case in ("path", "test_path"):
             assert err == f"error: {where}: dataset file not found: {absent}\n"
+        elif case in ("path_dir", "test_path_dir"):
+            assert err == f"error: {where}: {adir}: {IS_A_DIRECTORY}\n"
         elif case == "split":
             assert "cannot split" in err
         else:

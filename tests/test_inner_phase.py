@@ -15,7 +15,7 @@ import pytest
 from awwsvm import trainer
 from awwsvm.data import Dataset, Sample, synth_two_gaussians
 from awwsvm.objective import WeightMode, loss
-from awwsvm.trainer import TrainConfig, TrainingError, train
+from awwsvm.trainer import Optimizer, TrainConfig, TrainingError, train
 from awwsvm.weighting import NoiseMode, detect_noise, init_weights, update_weights
 
 
@@ -173,3 +173,27 @@ def test_dual_cd_phase_solves_each_round_exactly(monkeypatch, mode, adaptive):
         for (_, U, _), (alpha, active) in zip(phase.rounds[1:], scored):
             np.testing.assert_array_equal(U, phase.bounds(alpha, active))
             assert not U[~active].any()
+
+
+@pytest.mark.parametrize("mode", list(WeightMode), ids=lambda m: m.value)
+def test_no_stochastic_run_beats_the_exact_optimum(mode):
+    # each bare run's final train_loss against the DualCD optimum of one round on
+    # the same set; the gap need not fall as the budget grows, so only its sign
+    # is asserted and its mean is reported
+    budgets = (10, 100)  # inner_iters, at the default outer_iters
+    gaps = {}  # (optimizer, inner_iters) -> relative gap per seed
+    for seed in range(3):
+        train_ds = synth_two_gaussians(50, 50, 4.0, 0.02, seed)
+        exact = TrainConfig(outer_iters=1, weight_mode=mode)
+        best = train(train_ds, train_ds, exact, inner=DualCD(train_ds, exact))[1][-1]["train_loss"]
+        for optimizer in Optimizer:
+            for inner_iters in budgets:
+                cfg = TrainConfig(optimizer=optimizer, inner_iters=inner_iters, batch_size=16,
+                                  weight_mode=mode, seed=seed)
+                got = train(train_ds, train_ds, cfg)[1][-1]["train_loss"]
+                assert got >= best * (1 - 1e-12), (cfg, got, best)
+                gaps.setdefault((optimizer, inner_iters), []).append((got - best) / best)
+    for optimizer in Optimizer:
+        print(f"{mode.value} {optimizer.value}: mean relative gap to the optimum "
+              + "  ".join(f"{np.mean(gaps[optimizer, n]):.4f} at {n} inner"
+                          for n in budgets))

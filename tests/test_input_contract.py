@@ -7,6 +7,7 @@ writes nothing, or stops on a run that diverged: ``experiment`` exits 1 with
 The pool holds no large count, so no example asks for a long run."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -17,7 +18,9 @@ import pytest
 
 from awwsvm.cli import CONFIG_SCHEMA, DATASET_SCHEMA, MANIFEST_SCHEMA, METHOD_SCHEMA, main
 
-POOL = ["", None, True, False, 0, -1, 1.5, "x", [], {}, [1], "1e400", 1e300]
+# "." is the run's own directory, which every path key meets
+POOL = ["", None, True, False, 0, -1, 1.5, "x", [], {}, [1], "1e400", 1e300, "."]
+IS_A_DIRECTORY = os.strerror(errno.EISDIR)
 
 # (section, key): the section's first entry, or the top level for section None
 ENTRY_KEYS = ([("datasets", key) for key in DATASET_SCHEMA]
@@ -85,10 +88,13 @@ def test_config_key_set_to_any_pool_value(toy, tmp_path_factory, key, value):
     assert rc in (0, 2), rc
     if rc == 2:
         assert err.count("\n") == 1 and err.startswith("error: "), err
-        # the entry: the config line, or the file it names
+        # the entry: the config line, or, as a whole line, the dataset file it names
         line = 1 + list(config).index(key)
-        assert err.startswith((f"error: run.cfg:{line}: ", "error: training aborted: ",
-                               f"error: dataset file not found: {config[key]}\n")), err
+        named = [f"error: dataset file not found: {config[key]}\n"]
+        if key in ("data", "test_data"):
+            named.append(f"error: {config[key]}: {IS_A_DIRECTORY}\n")
+        assert err.startswith((f"error: run.cfg:{line}: ", "error: training aborted: ")) \
+            or err in named, err
         # a run that diverged keeps its resolved.cfg, to replay it, and writes no model
         aborted = err.startswith("error: training aborted: ")
         assert sorted(p.relative_to(cwd).as_posix() for p in cwd.rglob("*")) == (

@@ -372,7 +372,7 @@ class TestLabelSwapSymmetry:
 def _sweep(datasets, methods, seeds):
     """run_experiment's (rows, failures) over the datasets x methods x seeds
     cross product."""
-    return run_experiment([(name, tr, ev, cfg, seed) for name, tr, ev in datasets
+    return run_experiment([(name, tr, ev, replace(cfg, seed=seed)) for name, tr, ev in datasets
                            for cfg in methods for seed in seeds])
 
 
