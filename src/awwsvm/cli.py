@@ -372,12 +372,14 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _table(entries: list[dict], col: str) -> tuple[list[str], list[str], dict]:
-    """The datasets and methods of ``summary`` entries in first-seen order, and
-    ``col`` per (dataset, method)."""
+def _table(entries: list[dict], col: str) -> tuple[list[str], list[str], np.ndarray]:
+    """First-seen datasets and methods, and their float64 matrix of ``col`` (NaN: no entry)."""
     datasets = list(dict.fromkeys(e["dataset"] for e in entries))
     methods = list(dict.fromkeys(e["method"] for e in entries))
-    return datasets, methods, {(e["dataset"], e["method"]): e[col] for e in entries}
+    values = np.full((len(datasets), len(methods)), np.nan)
+    for e in entries:
+        values[datasets.index(e["dataset"]), methods.index(e["method"])] = e[col]
+    return datasets, methods, values
 
 
 def _print_summary(entries: list[dict]) -> None:
@@ -388,16 +390,12 @@ def _print_summary(entries: list[dict]) -> None:
     width = max(len(d) for d in datasets) + 2
     print("mean final accuracy over seeds:")
     print(" " * width + "  ".join(f"{m:>12}" for m in methods))
-    for d in datasets:
-        means = {m: acc[(d, m)] for m in methods if (d, m) in acc}
-        best = max(means.values())
+    for d, row in zip(datasets, acc):
+        best = np.nanmax(row)
         cells = []
-        for m in methods:
-            if m in means:
-                mark = "*" if means[m] == best else " "
-                cells.append(f"{means[m]:>11.4f}{mark}")
-            else:
-                cells.append(f"{'-':>12}")
+        for v in row:
+            mark = "*" if v == best else " "
+            cells.append(f"{'-':>12}" if np.isnan(v) else f"{v:>11.4f}{mark}")
         print(f"{d:<{width}}" + "  ".join(cells))
 
 
@@ -419,12 +417,16 @@ def cmd_stats(args) -> int:
     metric = args.metric
     if metric not in METRIC_COLUMNS:
         raise CliError(f"unknown metric {metric!r}; choose from {METRIC_COLUMNS}")
-    missing = [c for c in ("dataset", "method", metric) if c not in reader.fieldnames]
+    missing = [c for c in ("dataset", "method", "seed", metric) if c not in reader.fieldnames]
     if missing:
         raise CliError(f"{path}: no {', '.join(map(repr, missing))} column")
 
-    rows = []
+    rows, seen = [], {}  # (dataset, method, seed) -> the line of its final row
     for n, r in finals:
+        first = seen.setdefault((r["dataset"], r["method"], r["seed"]), n)
+        if first != n:
+            raise CliError(f"{path}:{n}: repeated final row for dataset {r['dataset']!r}, "
+                           f"method {r['method']!r}, seed {r['seed']} (first at line {first})")
         try:
             v = float(r[metric])
         except (TypeError, ValueError):
@@ -432,18 +434,14 @@ def cmd_stats(args) -> int:
         if not np.isfinite(v):
             raise CliError(f"{path}:{n}: {metric} is not a finite number: {r[metric]!r}")
         rows.append({**r, metric: v})
-    datasets, methods, cells = _table(summary(rows, [metric]), metric)
+    datasets, methods, values = _table(summary(rows, [metric]), metric)
     if len(methods) < 2 or len(datasets) < 2:
         raise CliError(f"need at least 2 methods and 2 datasets, "
                        f"got {len(methods)} and {len(datasets)}")
-    values = np.empty((len(datasets), len(methods)))
-    for i, d in enumerate(datasets):
-        for j, m in enumerate(methods):
-            if (d, m) not in cells:
-                raise CliError(f"missing cell: dataset {d!r}, method {m!r}")
-            values[i, j] = cells[(d, m)]
+    for i, j in np.argwhere(np.isnan(values))[:1]:  # the first missing pair, row-major
+        raise CliError(f"missing cell: dataset {datasets[i]!r}, method {methods[j]!r}")
 
-    ranks = rank_rows(values, higher_is_better=True)
+    ranks = rank_rows(values)
     chi2, p = friedman(ranks)
     r = ranks.mean(axis=0)
     try:

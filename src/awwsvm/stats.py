@@ -26,15 +26,14 @@ NEMENYI_Q_05 = {
 }
 
 
-def rank_rows(values: np.ndarray, higher_is_better: bool = True) -> np.ndarray:
-    """The N x K float64 ranks of each row (1 = best); ties get the average of
-    the tied positions."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] < 2 or values.shape[1] < 2:
+def rank_rows(values: np.ndarray) -> np.ndarray:
+    """The N x K float64 ranks of each row, higher is better (1 = the highest); ties
+    get the average of the tied positions. Rank a lower-is-better table as its negation."""
+    keyed = -np.asarray(values, dtype=np.float64)
+    if keyed.ndim != 2 or keyed.shape[0] < 2 or keyed.shape[1] < 2:
         raise ValueError("need an N x K matrix with N >= 2 and K >= 2")
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(keyed)):
         raise ValueError("values must be finite")
-    keyed = -values if higher_is_better else values
     # a value's tied positions run from (# keyed below it) + 1 to (# at or
     # below it); their mean is an exact half-integer
     return np.vstack([(np.searchsorted(s, row, "left") + np.searchsorted(s, row, "right") + 1) / 2

@@ -1193,6 +1193,29 @@ class TestStatsCommand:
         assert capsys.readouterr().err == "error: missing cell: dataset 'd2', method 'onaq'\n"
         assert not out.exists()
 
+    # two results files that share method names were once averaged together
+    def test_repeated_final_row_is_usage_error(self, results_csv, tmp_path, capsys):
+        lines = results_csv.read_text().splitlines()
+        results_csv.write_text("\n".join(lines + lines[1:]) + "\n")
+        out = tmp_path / "stats"
+        assert main(["stats", "--results", str(results_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {results_csv}:11: repeated final row for "
+                                           "dataset 'd1', method 'sgd', seed 0 (first at line 2)\n")
+        assert not out.exists()
+
+    def test_another_seed_of_a_pair_is_averaged(self, results_csv, tmp_path, capsys):
+        # seed 1 lifts onaq to 0.99 on every dataset, which puts its mean first
+        lines = results_csv.read_text().splitlines()
+        again = [l.replace(",0,final,", ",1,final,") for l in lines[1:] if ",onaq," not in l]
+        again += [f"d{i},onaq,1,final,0.990000,0,0,0,0,0,0,0" for i in (1, 2, 3)]
+        results_csv.write_text("\n".join(lines + again) + "\n")
+        out = tmp_path / "stats"
+        assert main(["stats", "--results", str(results_csv), "--out", str(out)]) == 0
+        assert (out / "mean_ranks.csv").read_text() == ("method,mean_rank,cd\n"
+                                                        "sgd,3.000000,1.913051\n"
+                                                        "aw+sgd,2.000000,1.913051\n"
+                                                        "onaq,1.000000,1.913051\n")
+
     def test_unknown_metric_rejected(self, results_csv, capsys):
         rc = main(["stats", "--results", str(results_csv), "--metric", "speed"])
         assert rc == 2
@@ -1217,8 +1240,10 @@ class TestStatsCommand:
          "results.csv: no 'accuracy' column"),
         (lambda ls: [l.replace(",method,", ",meth,") for l in ls[:1]] + ls[1:], [],
          "results.csv: no 'method' column"),
+        (lambda ls: [l.replace(",seed,", ",sd,") for l in ls[:1]] + ls[1:], [],
+         "results.csv: no 'seed' column"),
     ], ids=["alpha-without-q", "q-zero", "q-negative", "eleven-methods", "nan-cell",
-            "text-cell", "no-metric-column", "no-method-column"])
+            "text-cell", "no-metric-column", "no-method-column", "no-seed-column"])
     def test_bad_input_is_usage_error(self, results_csv, tmp_path, capsys, edit, flags, message):
         if edit is not None:
             lines = results_csv.read_text().splitlines()

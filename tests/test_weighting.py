@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from awwsvm.data import synth_two_gaussians
+from awwsvm.trainer import Optimizer, TrainConfig, stochastic_phase, train
 from awwsvm.weighting import NoiseMode, aw_raw, detect_noise, init_weights, update_weights
 
 GAUSS0 = 2.0 / math.sqrt(2.0 * math.pi)  # 0.7978845608028654
@@ -234,3 +236,31 @@ class TestDetectNoise:
         labels = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
         flagged = detect_noise(d, labels, np.ones(6, dtype=bool))
         assert flagged.tolist() == [2, 5]
+
+
+def test_noise_rules_against_known_flips():
+    # which flipped labels each rule eliminates in a full adaptive run: a report
+    # for choosing a rule, so how often a rule fires is printed, not asserted
+    for n_pos, n_neg in ((60, 140), (200, 800)):
+        for seed in (1, 2, 3):
+            ds = synth_two_gaussians(n_pos, n_neg, 2.0, 0.05, seed)
+            clean = synth_two_gaussians(n_pos, n_neg, 2.0, 0.0, seed)
+            assert (ds.X != clean.X).nnz == 0  # the points are drawn before the flips
+            flipped = ds.y != clean.y
+            for mode in NoiseMode:
+                for optimizer in Optimizer:
+                    cfg = TrainConfig(optimizer=optimizer, adaptive=True, noise_mode=mode,
+                                      seed=seed)
+                    phase = stochastic_phase(ds.to_matrix(augment=True), ds.labels(), cfg)
+                    held = []
+
+                    def inner(w, alpha, active):
+                        held[:] = [active]  # train() marks eliminations in this array
+                        return phase(w, alpha, active)
+
+                    rounds = train(ds, ds, cfg, inner=inner)[1]
+                    eliminated = ~held[0]
+                    assert eliminated.sum() == rounds[-1]["n_noise"]
+                    print(f"({n_pos}, {n_neg}) seed {seed} {mode.value} {optimizer.value}: "
+                          f"eliminated {eliminated.sum()}, hits {(eliminated & flipped).sum()}, "
+                          f"flipped {flipped.sum()}")
