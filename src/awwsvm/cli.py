@@ -62,6 +62,17 @@ def _from_json(parse):
     return lambda value: parse(value if isinstance(value, str) else json.dumps(value))
 
 
+def _seeds(value) -> list[int]:
+    """The manifest's seeds, none listed twice: a repeat would run each cell twice."""
+    seeds = [TrainConfig(seed=_from_json(int)(seed)).seed for seed in _json_list(value)]
+    first = {}
+    for i, seed in enumerate(seeds):
+        j = first.setdefault(seed, i)
+        if j != i:
+            raise ValueError(f"seed {seed} is listed twice (seeds[{j}] and seeds[{i}])")
+    return seeds
+
+
 def _schema_entry(default) -> tuple:
     """(parser, default) of a method key, from its TrainConfig field's default
     (the annotations are strings here); an enum key takes the member's value."""
@@ -92,8 +103,7 @@ METHOD_SCHEMA = {key: _from_json(CONFIG_SCHEMA[key][0]) for key in FIELDS if key
 DATASET_SCHEMA = {"name": nonempty, "path": nonempty, "test_path": nonempty,
                   "split": _from_json(float)}
 MANIFEST_SCHEMA = {"datasets": _json_list, "methods": _json_list, "train": lambda value: value,
-                   "seeds": lambda value: [TrainConfig(seed=_from_json(int)(seed)).seed
-                                           for seed in _json_list(value)]}
+                   "seeds": _seeds}
 WEIGHTS_COLUMNS = ["outer_iter", "alpha_min", "alpha_mean", "alpha_max", "n_noise"]
 
 
@@ -297,42 +307,36 @@ def _entry(raw, schema: dict, where: str, required: tuple = ()) -> tuple[str, di
     return where, values
 
 
-def _read_manifest(path: str) -> tuple[dict, list, list, list]:
-    """The manifest at ``path``, its seeds, its (config, preset) methods and its
-    (where, name, entry) datasets, each entry checked against its schema."""
-    manifest = json.loads(_read_utf8(path, "manifest"))
-    top = _entry(manifest, MANIFEST_SCHEMA, path)[1]
-    where, shared = _entry(top.get("train", {}), METHOD_SCHEMA, "train")
-    with _usage_error(where, CliError):
-        build_train_config(resolve_config(shared, {}))
-    methods, named = [], {}
-    for i, raw in enumerate(top.get("methods", [])):
-        where, entry = _entry(raw, METHOD_SCHEMA, f"methods[{i}]")
-        merged = {**shared, **entry}
-        with _usage_error(where, CliError):
-            cfg = build_train_config(resolve_config(merged, {}))
-        # results are keyed by method name, so two entries with one name would merge
-        taken = named.setdefault(cfg.method_name, where)
-        if taken != where:
-            raise CliError(f"{where}: method name {cfg.method_name!r} is already taken by {taken}")
-        methods.append((cfg, merged.get("preset")))
-    dataset_entries, ds_named = [], {}
-    for i, raw in enumerate(top.get("datasets", [])):
-        where, entry = _entry(raw, DATASET_SCHEMA, f"datasets[{i}]", ("path",))
-        name = _dataset_name(entry.get("name", Path(entry["path"]).stem), where)
-        taken = ds_named.setdefault(name, where)  # results are keyed by dataset name too
-        if taken != where:
-            raise CliError(f"{where}: dataset name {name!r} is already taken by {taken}")
-        dataset_entries.append((where, name, entry))
-    return manifest, top.get("seeds", [0]), methods, dataset_entries
-
-
 def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    # nesting deeper than the decoder or a message's encoder takes is a RecursionError
+    # each entry is checked against its schema before any file is read; nesting
+    # deeper than the decoder or a message's encoder takes is a RecursionError
     with _usage_error(f"{args.manifest}: invalid JSON", json.JSONDecodeError, RecursionError):
-        manifest, seeds, methods, dataset_entries = _read_manifest(args.manifest)
+        manifest = json.loads(_read_utf8(args.manifest, "manifest"))
+        top = _entry(manifest, MANIFEST_SCHEMA, args.manifest)[1]
+        where, shared = _entry(top.get("train", {}), METHOD_SCHEMA, "train")
+        with _usage_error(where, CliError):
+            build_train_config(resolve_config(shared, {}))
+        methods, named = [], {}  # (config, preset) per method
+        for i, raw in enumerate(top.get("methods", [])):
+            where, entry = _entry(raw, METHOD_SCHEMA, f"methods[{i}]")
+            merged = {**shared, **entry}
+            with _usage_error(where, CliError):
+                cfg = build_train_config(resolve_config(merged, {}))
+            # results are keyed by method name, so two entries with one name would merge
+            taken = named.setdefault(cfg.method_name, where)
+            if taken != where:
+                raise CliError(f"{where}: method name {cfg.method_name!r} is already taken by {taken}")
+            methods.append((cfg, merged.get("preset")))
+        dataset_entries, ds_named = [], {}
+        for i, raw in enumerate(top.get("datasets", [])):
+            where, entry = _entry(raw, DATASET_SCHEMA, f"datasets[{i}]", ("path",))
+            name = _dataset_name(entry.get("name", Path(entry["path"]).stem), where)
+            taken = ds_named.setdefault(name, where)  # results are keyed by dataset name too
+            if taken != where:
+                raise CliError(f"{where}: dataset name {name!r} is already taken by {taken}")
+            dataset_entries.append((where, name, entry))
 
     # each file is loaded once; the cells run seed -> dataset -> method
     datasets = []
@@ -345,7 +349,7 @@ def cmd_experiment(args) -> int:
         datasets.append((where, name, ds, test, entry.get("split", CONFIG_SCHEMA["split"][1]),
                          configs))
     cells = []
-    for seed in seeds:
+    for seed in top.get("seeds", [0]):
         for where, name, ds, test, frac, configs in datasets:
             with _usage_error(f"{where}: cannot split", ValueError):
                 tr, ev = (ds, test) if test is not None else split(ds, frac, seed)

@@ -121,11 +121,8 @@ class Dataset:
         dim = self.dim if dim is None else dim
         if dim == self.dim and not augment:
             return self.X
-        indptr, indices, data = self.X.indptr, self.X.indices, self.X.data
-        if dim < self.dim:
-            keep = indices < dim
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            indices, data = indices[keep], data[keep]
+        X = self.X[:, :dim] if dim < self.dim else self.X
+        indptr, indices, data = X.indptr, X.indices, X.data
         if augment:
             indices = np.insert(indices, indptr[1:], dim)
             data = np.insert(data, indptr[1:], 1.0)

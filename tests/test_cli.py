@@ -823,6 +823,22 @@ class TestExperimentCommand:
             "bad value for 'seeds': seed must be >= 0, got -1\n")
         assert not out.exists()
 
+    # a repeat ran every cell twice with exit 0, and stats refused its results.csv;
+    # seeds are compared as parsed, so "3" repeats 3
+    @pytest.mark.parametrize("seeds, repeat", [
+        ([0, 0], "seed 0 is listed twice (seeds[0] and seeds[1])"),
+        (["3", 3], "seed 3 is listed twice (seeds[0] and seeds[1])"),
+        ([1, 2, 1, 2], "seed 1 is listed twice (seeds[0] and seeds[2])")])
+    def test_repeated_seed_is_usage_error(self, two_files, tmp_path, capsys, seeds, repeat):
+        manifest = _write_manifest(tmp_path, [{"path": str(two_files[0])}], [{}], seeds=seeds)
+        out = tmp_path / "exp"
+        rc = main(["experiment", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest} {json.dumps(json.loads(manifest.read_text()), sort_keys=True)}: "
+            f"bad value for 'seeds': {repeat}\n")
+        assert not out.exists()
+
     def test_bad_split_is_usage_error(self, two_files, tmp_path, capsys):
         entry = {"path": str(two_files[0]), "split": 2}
         manifest = _write_manifest(tmp_path, [entry], [{"optimizer": "sgd"}], seeds=[0])

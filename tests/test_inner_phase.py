@@ -6,6 +6,7 @@ exact phase: dual coordinate descent (Hsieh et al., ICML 2008; LIBLINEAR's
 L1-loss solver) on each round's weighted problem, run through ``train`` itself.
 """
 
+from dataclasses import replace
 import math
 import re
 
@@ -173,6 +174,31 @@ def test_dual_cd_phase_solves_each_round_exactly(monkeypatch, mode, adaptive):
         for (_, U, _), (alpha, active) in zip(phase.rounds[1:], scored):
             np.testing.assert_array_equal(U, phase.bounds(alpha, active))
             assert not U[~active].any()
+
+
+@pytest.mark.parametrize("mode", list(WeightMode), ids=lambda m: m.value)
+def test_exact_adaptive_rounds_with_equal_weights_give_the_bare_optimum(monkeypatch, mode):
+    # what reweighting does to the exact optimum comes from the weights alone: with
+    # every refresh back at the initial weights and no row eliminated, the adaptive
+    # loop solves the bare problem each round, bit for bit
+    train_ds = synth_two_gaussians(50, 50, 4.0, 0.02, seed=2)
+    bare_cfg = TrainConfig(outer_iters=3, weight_mode=mode)
+    bare_model, bare_rounds = train(train_ds, train_ds, bare_cfg, inner=DualCD(train_ds, bare_cfg))
+
+    refreshes = []
+
+    def equal_weights(dist, active, sigma):
+        refreshes.append(active.copy())
+        return np.where(active, init_weights(len(active)), 0.0)
+    monkeypatch.setattr(trainer, "update_weights", equal_weights)
+    monkeypatch.setattr(trainer, "detect_noise", lambda *args, **kw: np.array([], dtype=np.int64))
+    cfg = replace(bare_cfg, adaptive=True)
+    model, rounds = train(train_ds, train_ds, cfg, inner=DualCD(train_ds, cfg))
+
+    assert len(refreshes) == cfg.outer_iters and all(active.all() for active in refreshes)
+    assert model.augmented().tobytes() == bare_model.augmented().tobytes()
+    assert model.label_map == bare_model.label_map
+    assert rounds == bare_rounds
 
 
 @pytest.mark.parametrize("mode", list(WeightMode), ids=lambda m: m.value)
