@@ -26,6 +26,21 @@ from enum import Enum
 import numpy as np
 
 
+# OpenBLAS 0.3.31 splits a dot product longer than 10,000 elements between
+# threads, so its rounding then depends on the thread count.
+_DOT_ELEMS = 10_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a.dot(b) for 1-D float64 vectors, on the calling thread: up to
+    ``_DOT_ELEMS`` elements the plain product, longer ones summed in order
+    over blocks of ``_DOT_ELEMS`` elements."""
+    if len(a) <= _DOT_ELEMS:
+        return float(a.dot(b))
+    return sum(float(a[i:i + _DOT_ELEMS].dot(b[i:i + _DOT_ELEMS]))
+               for i in range(0, len(a), _DOT_ELEMS))
+
+
 class WeightMode(Enum):
     REGULARIZER = "regularizer"
     HINGE = "hinge"
@@ -36,7 +51,7 @@ def loss(w: np.ndarray, scores: np.ndarray, y: np.ndarray, alpha: np.ndarray, cf
     ``X @ w`` on the batch are ``scores``."""
     k = len(y)
     hinge = np.maximum(0.0, 1.0 - y * scores)
-    sq = float(w @ w)
+    sq = _dot(w, w)
     if cfg.weight_mode is WeightMode.REGULARIZER:
         return float(np.add.reduce(alpha) / k * cfg.C / 2.0 * sq + np.add.reduce(hinge) / k)
     return float(cfg.C / 2.0 * sq + np.add.reduce(alpha * hinge) / k)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .objective import subgradient
+from .objective import _dot, subgradient
 
 # Skip the H update when y.s <= floor * ||s|| * ||y||: below a cosine of ~1e-5 H may not factor.
 CURVATURE_FLOOR = 1e-4
@@ -32,9 +32,10 @@ CURVATURE_FLOOR = 1e-4
 # is refused); the sgd optimizer keeps no d x d state.
 MAX_DENSE_H_BYTES = 2**31
 
-# Scratch budget of the blocked H update: its four rows x d float64 buffers
-# hold at most 2 * _BLOCK_ELEMS elements (512 KiB) together.
-_BLOCK_ELEMS = 2**15
+# Scratch buffer of the blocked H update (512 KiB; 32 rows at d = 2,001).
+# A block's product has m*n*k <= 2^17, which OpenBLAS 0.3.31 runs on the
+# calling thread.
+_BLOCK_ELEMS = 2**16
 
 # Largest row block of _matvec (1 MiB of H; 64 rows at d = 2,001). OpenBLAS
 # 0.3.31 runs a gemv this size on the calling thread, so its idle workers stay
@@ -61,51 +62,56 @@ class QuasiNewtonState:
 
 
 def bfgs_inverse_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(I - s y^T/y.s) H (I - y s^T/y.s) + s s^T/y.s, expanded symmetrically.
+    """(I - rho s y^T) H (I - rho y s^T) + rho s s^T, rho = 1/y.s, as H + p p^T - q q^T.
 
     Overwrites the float64 array ``H`` with the update and returns it. With
-    rho = 1/y.s, u = H y (by ``_matvec``, so with the 1-thread BLAS bytes at
-    any thread count) and c = rho^2 y.u + rho, element (i, j) becomes
-    (H_ij - rho*(s_i*u_j + u_i*s_j)) + c*(s_i*s_j), rounded in that order,
-    so a symmetric H stays exactly symmetric. Rows are updated in blocks
-    through four small scratch buffers, so no d x d temporary is allocated:
-    each outer product is a column of s or u broadcast across a block, then
-    multiplied in place by a row-tiled copy of u or s made once per call;
-    numpy's broadcast product np.multiply(s[:, None], u, out) rounds the
-    same but is slower (at d = 2,001, ~27 against ~21 ms per update on one
-    2-core Xeon).
+    u = H y (by ``_matvec``, so with the 1-thread BLAS bytes at any thread
+    count) and z = u - (rho y.u + 1)/2 s, the update is H - rho (s z^T + z s^T).
+    Balanced as a = lam s, b = z/lam with lam = sqrt(||z||/||s||) (1 when
+    z = 0), that is H + p p^T - q q^T with p = sqrt(rho/2)(a - b) and
+    q = sqrt(rho/2)(a + b). Each block of rows gets the k = 2 product
+    [p q][rows] @ [p; -q] in a scratch buffer of ``_BLOCK_ELEMS`` elements,
+    then adds it, so no d x d temporary is allocated. Element (i, j) adds
+    p_i p_j - q_i q_j and element (j, i) the same two products with their
+    factors swapped, so a symmetric H stays exactly symmetric, with or
+    without FMA, as long as every block goes through the same gemm: the
+    block before a 1-row tail, which numpy would send to gemv, ends a row
+    early. A block's m*n*k <= 2^17 keeps OpenBLAS 0.3.31 on the calling
+    thread, so the bytes do not depend on the thread count. One update
+    takes ~5.5 ms at d = 2,001 and ~42 us at d = 124 on one 2-core Xeon
+    (~18 ms and ~67 us for the element-wise s u^T + u s^T form it
+    replaced); at d = 3 both take ~16 us.
     In exact arithmetic it preserves positive definiteness whenever
     y.s > 0; a pair below the curvature floor raises ValueError and leaves
     H unchanged.
     """
-    ys = float(y @ s)
+    ys = _dot(y, s)
     if not _curvature_ok(s, y):
         raise ValueError(f"curvature y.s={ys} too small for a stable update")
     rho = 1.0 / ys
     u = _matvec(H, y)
-    c = rho * rho * float(y @ u) + rho
+    z = u - 0.5 * (rho * _dot(y, u) + 1.0) * s
+    nz = math.sqrt(_dot(z, z))
+    lam = math.sqrt(nz / math.sqrt(_dot(s, s))) if nz > 0.0 else 1.0
+    a, b = lam * s, z / lam
     d = len(s)
-    rows = min(d, max(1, _BLOCK_ELEMS // (2 * d)))
-    a_buf, b_buf, u_rows, s_rows = (np.empty((rows, d)) for _ in range(4))
-    u_rows[...] = u
-    s_rows[...] = s
-    s_col, u_col = s[:, None], u[:, None]
-    for i in range(0, d, rows):
-        j = i + rows
-        blk = H[i:j]
-        n = len(blk)
-        a, b = a_buf[:n], b_buf[:n]
-        a[...] = s_col[i:j]
-        a *= u_rows[:n]
-        b[...] = u_col[i:j]
-        b *= s_rows[:n]
-        a += b
-        a *= rho
-        blk -= a
-        b[...] = s_col[i:j]
-        b *= s_rows[:n]
-        b *= c
-        blk += b
+    R = np.empty((2, d))
+    np.subtract(a, b, out=R[0])
+    np.add(a, b, out=R[1])
+    R *= math.sqrt(rho / 2.0)
+    L = R.T.copy()  # [p q]
+    np.negative(R[1], out=R[1])  # [p; -q]
+    rows = min(d, _BLOCK_ELEMS // d)
+    scratch = np.empty((rows, d))
+    i = 0
+    while i < d:
+        j = min(d, i + rows)
+        if d - j == 1:  # numpy takes a 1-row product through gemv, which rounds differently
+            j -= 1
+        out = scratch[:j - i]
+        np.matmul(L[i:j], R, out=out)
+        H[i:j] += out
+        i = j
     return H
 
 
@@ -136,7 +142,9 @@ def _row_blocks(d: int) -> list[int]:
 
 
 def _curvature_ok(s: np.ndarray, y: np.ndarray) -> bool:
-    return float(y @ s) > CURVATURE_FLOOR * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y))
+    """y.s above the floor, and ||s|| ||y|| neither 0 (squares underflowed)
+    nor infinite (overflowed)."""
+    return _dot(y, s) > CURVATURE_FLOOR * math.sqrt(_dot(s, s)) * math.sqrt(_dot(y, y)) > 0.0
 
 
 def sgd_step(w: np.ndarray, X, y: np.ndarray, alpha: np.ndarray,
@@ -176,7 +184,7 @@ def _qn_step(w: np.ndarray, state: QuasiNewtonState, X, y: np.ndarray, alpha: np
     look = w + mu * state.v
     g1 = subgradient(look, X, y, alpha, cfg)
     direction = -_matvec(state.H, g1)
-    nrm = math.sqrt(direction.dot(direction))
+    nrm = math.sqrt(_dot(direction, direction))
     if nrm == 0.0:
         return w
     direction /= nrm

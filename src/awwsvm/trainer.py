@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset, MinibatchSampler, RowBatch
 from .metrics import confusion_from_predictions, report
 from .model import LinearModel, decision_values, predict
-from .objective import WeightMode, loss
+from .objective import WeightMode, _dot, loss
 from .optimizers import QuasiNewtonState, obfgs_step, onaq_step, sgd_step
 from .weighting import NoiseMode, detect_noise, init_weights, update_weights
 
@@ -180,7 +180,7 @@ def train(train_ds: Dataset, eval_ds: Dataset, cfg: TrainConfig, inner=None) -> 
             model = LinearModel.from_augmented(w, label_map=train_ds.label_map)
             scores = decision_values(model, train_ds.X)  # X @ w, bit for bit
             if cfg.adaptive:
-                geo_norm = math.sqrt(model.w.dot(model.w))  # inf once ||w||^2 overflows
+                geo_norm = math.sqrt(_dot(model.w, model.w))  # inf once ||w||^2 overflows
                 if not math.isfinite(geo_norm):
                     raise TrainingError(f"squared weight norm overflowed in outer round {outer}")
                 if geo_norm > 0.0:

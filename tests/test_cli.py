@@ -91,10 +91,10 @@ PINNED_DIGESTS = {
     "sgd": ("d15decae5ee4ef3373ffffe25d84fcb2ee750a0cb4d74f1b34cc7a1804f67462",
             "776be4e514a98697c2d6ac16d9d294ad1418fd14e90f37ef9ff8973c246e7eac",
             "77903d48407c07105e970714aee3d9df4efe6ceef3cb1ee0f885ab5388e1dda4"),
-    "obfgs": ("e4e54734ac14d875feef751ca73d26370aa25047da02e99c41b237bbe2b37abf",
+    "obfgs": ("48232df55e93749ced74d69a981713cd2988b3d75688a16e36cd065933877f9c",
               "1a6a5ae46a99c301ed3022bdbac76789089d602ee6047b57b82948f41b37eb98",
               "86d89ef278acdb3df3f25b9be006741394728481c6f707969ee3b78ebbfb8eff"),
-    "onaq": ("6d3861738911d2c99e970b46b1c998d2c83788e93e7db981194c1b2844c74447",
+    "onaq": ("de8c0dc6609e31008ef5dfae0a41be68707a42820bb01d4c5c9b784de802cc0d",
              "af1bf7adbbbda387ed3dc304f4921fac240d18de28e93d0b51737969cccf0ee9",
              "09c1e3e1dcc4556c5665e380199289f6e421b06d042e20bb78959fa3c08b741b"),
 }

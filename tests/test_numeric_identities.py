@@ -1,7 +1,8 @@
 """The numpy identities the per-step code relies on to give the bytes of the
-longer calls it replaced: a 1-D norm is ``math.sqrt(v.dot(v))``, a mean is
-the sum over the count, and a boolean count is ``np.count_nonzero``. A
-quasi-Newton training run must make no ``np.linalg.norm`` call."""
+longer calls it replaced: a 1-D norm is ``math.sqrt(v.dot(v))``, up to
+10,000 elements ``objective._dot`` is ``v.dot(w)``, a mean is the sum over
+the count, and a boolean count is ``np.count_nonzero``. A quasi-Newton
+training run must make no ``np.linalg.norm`` call."""
 
 import math
 import warnings
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from awwsvm.data import synth_two_gaussians
+from awwsvm.objective import _dot
 from awwsvm.trainer import Optimizer, TrainConfig, train
 
 @st.composite
@@ -66,6 +68,23 @@ class TestIdentities:
         v = np.array([1e200, -3.0])
         with np.errstate(over="ignore"):
             assert norm_by_dot(v) == np.linalg.norm(v) == math.inf
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mixed_vectors())
+    def test_dot_up_to_10000_elements_is_the_plain_product(self, v):
+        assert same_result_and_warnings(lambda a: _dot(a, a), lambda a: a.dot(a), v)
+        w = v[::-1].copy()
+        assert same_result_and_warnings(lambda a: _dot(a, w), lambda a: a.dot(w), v)
+
+    @pytest.mark.parametrize("n", [10_001, 16_384, 50_000])
+    def test_longer_dot_sums_blocks_of_10000_in_order(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        blocks = [a[i:i + 10_000].dot(b[i:i + 10_000]) for i in range(0, n, 10_000)]
+        total = 0.0
+        for part in blocks:
+            total += part
+        assert same_bits(_dot(a, b), total)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(mixed_vectors())
