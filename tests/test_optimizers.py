@@ -428,6 +428,41 @@ def test_long_dot_products_do_not_depend_on_blas_threads():
     assert blocked[1] == blocked[2]
 
 
+# Prints a digest of a plain dot product of 50,000 elements, then trains an
+# adaptive sgd model on the given file.
+_WIDE_SGD_TRAIN = """
+import hashlib
+import sys
+import numpy as np
+from awwsvm.cli import main
+rng = np.random.default_rng(50_000)
+print(hashlib.sha256((rng.normal(size=50_000) @ rng.normal(size=50_000)).tobytes()).hexdigest())
+sys.exit(main(["train", "--data", sys.argv[1], "--optimizer", "sgd", "--adaptive",
+               "--alpha0", "0.5", "--outer-iters", "4", "--inner-iters", "20",
+               "--out", sys.argv[2]]))
+"""
+
+
+def test_wide_sgd_output_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at d_aug = 50,001 the objective's ||w||^2 and the trainer's ||w|| are
+    # dot products that OpenBLAS 0.3.31 splits between threads
+    rng = np.random.default_rng(17)
+    X = sparse.random(400, 50_000, density=0.01, format="lil", random_state=rng)
+    X[0, 49_999] = 1.0
+    X = X.tocsr()
+    y = np.where(X @ rng.choice([-1.0, 1.0], size=50_000) >= 0, 1, -1)
+    data = tmp_path / "wide.libsvm"
+    save_libsvm(Dataset(X, y), str(data))
+    outs = {t: tmp_path / f"threads{t}" for t in (1, 2)}
+    probes = {t: _run_python(_WIDE_SGD_TRAIN, t, data, out).split("\n", 1)[0]
+              for t, out in outs.items()}
+    if probes[1] == probes[2]:
+        pytest.skip("a plain dot product of 50,000 elements has the same bytes under 1 and 2 "
+                    "BLAS threads (OpenBLAS may cap its threads at the core count)")
+    for name in ("model.txt", "history.csv"):
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+
 def test_dense_h_above_bound_refused_before_allocating():
     assert 16_384 * 16_384 * 8 == MAX_DENSE_H_BYTES  # the largest H allowed
     with pytest.raises(MemoryError, match="16385 x 16385 .* 2.00 GiB, above the 2 GiB bound"):
